@@ -20,7 +20,7 @@
  *
  *  - auditChunkMap<PageMap>(): the generic audit for the baseline
  *    controllers (LCP/RMC/DMC), whose per-page state exposes the
- *    common `valid` / `zero` / `chunks` / `chunk_id` shape.
+ *    common `valid` / `zero` / `chunks` / `mpfn` shape.
  *
  * Controllers expose the full pass as MemoryController::audit();
  * COMPRESSO_CHECKED_BUILD wires the page-local layer into every
@@ -102,8 +102,8 @@ class InvariantAuditor
 
     /**
      * Generic chunk-map audit over a page table whose mapped type
-     * exposes `valid`, `zero`, `chunks` and `chunk_id` (the common
-     * shape of the LCP/RMC/DMC per-page state).
+     * exposes `valid`, `zero`, `chunks` and `mpfn` (the page shape of
+     * core/compressed_controller.h).
      */
     template <class PageMap>
     static AuditReport
@@ -128,15 +128,15 @@ class InvariantAuditor
             }
             for (unsigned c = 0; c < kChunksPerPage; ++c) {
                 if (c < p.chunks) {
-                    if (p.chunk_id[c] == kNoChunk)
+                    if (p.mpfn[c] == kNoChunk)
                         rep.add(ViolationKind::kMpfnMissing, pn,
                                 kNoChunk,
                                 "slot " + std::to_string(c));
                     else
-                        xc.mapChunk(pn, p.chunk_id[c], rep);
-                } else if (p.chunk_id[c] != kNoChunk) {
+                        xc.mapChunk(pn, p.mpfn[c], rep);
+                } else if (p.mpfn[c] != kNoChunk) {
                     rep.add(ViolationKind::kMpfnNotCleared, pn,
-                            p.chunk_id[c],
+                            p.mpfn[c],
                             "slot " + std::to_string(c));
                 }
             }

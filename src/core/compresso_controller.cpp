@@ -27,27 +27,32 @@ constexpr Addr kMetadataRegionBase = Addr(1) << 40;
 #endif
 
 CompressoController::CompressoController(const CompressoConfig &cfg)
-    : cfg_(cfg),
+    : CompressedController({.installed_bytes = cfg.installed_bytes,
+                            .mdcache = cfg.mdcache,
+                            .metadata_base = kMetadataRegionBase,
+                            .md_hit_latency = cfg.mdcache_hit_latency,
+                            .stream_buffer_blocks =
+                                cfg.stream_buffer ? cfg.stream_buffer_blocks
+                                                  : 0,
+                            .rewrite_denied_rebuild = false}),
+      cfg_(cfg),
       bins_(cfg.line_bins ? cfg.line_bins
                           : (cfg.alignment_friendly ? &compressoBins()
                                                     : &legacyBins())),
       codec_(makeCompressor(cfg.compressor)),
-      chunks_(cfg.installed_bytes),
-      mdcache_(cfg.mdcache),
       offsets_(*bins_)
 {
     assert(codec_ && "unknown compressor name");
-    mdcache_.setEvictHook(
-        [this](PageNum page, bool dirty) { onMetaEvict(page, dirty); });
+    // Exported from the start, even before the first metadata
+    // eviction or stream-buffer hit.
+    stats_.stat("md_write_ops");
+    stats_.stat("prefetch_hits");
 }
 
 void
 CompressoController::attachObserver(Observer *obs)
 {
-    obs_ = obs;
-    mdcache_.attachObserver(obs);
-    h_line_bytes_ =
-        obs ? obs->histogram("mc.compressed_line_bytes") : nullptr;
+    CompressedController::attachObserver(obs);
     h_page_alloc_ = obs ? obs->histogram("mc.page_alloc_bytes") : nullptr;
     h_page_free_ = obs ? obs->histogram("mc.page_free_bytes") : nullptr;
     h_repack_cost_ = obs ? obs->histogram("mc.repack_cost_ops") : nullptr;
@@ -75,64 +80,14 @@ CompressoController::predictorPageShrink(PageNum page)
 // Metadata helpers
 // ---------------------------------------------------------------------
 
-MetadataEntry &
-CompressoController::meta(PageNum page)
-{
-    return meta_[page];
-}
-
-CompressoController::PageShadow &
-CompressoController::shadow(PageNum page)
-{
-    return shadow_[page];
-}
-
-const MetadataEntry &
-CompressoController::pageMeta(PageNum page)
-{
-    return meta(page);
-}
-
-Addr
-CompressoController::metadataAddr(PageNum page) const
-{
-    return kMetadataRegionBase + page * kMetadataEntryBytes;
-}
-
 void
-CompressoController::mdAccess(PageNum page, bool dirty, McTrace &trace)
+CompressoController::onMetaEvict(PageNum page)
 {
-    const MetadataEntry &m = meta_[page];
-    bool hit = mdcache_.access(page, m.halfCacheable(), dirty);
-    trace.metadata_hit = hit;
-    trace.addFixed(AttribComp::kMdcacheHit, cfg_.mdcache_hit_latency);
-    if (!hit) {
-        // Fetch the entry from the metadata region (critical).
-        trace.add(metadataAddr(page), false, true,
-                  AttribComp::kMdcacheMiss);
-        ++st_md_read_ops_;
-        if (fault_.active() &&
-            fault_.onMetaRead(metadataAddr(page)) ==
-                FaultOutcome::kDetected) {
-            recoverMetadataFault(page, trace);
-        }
-    }
-}
-
-void
-CompressoController::onMetaEvict(PageNum page, bool dirty)
-{
-    if (dirty && cur_trace_) {
-        cur_trace_->add(metadataAddr(page), true, false,
-                        AttribComp::kMdcacheMiss);
-        ++st_md_write_ops_;
-        fault_.onWrite(metadataAddr(page));
-    }
     if (!cfg_.repack_on_evict || !cur_trace_)
         return;
 
-    auto mit = meta_.find(page);
-    if (mit == meta_.end())
+    auto mit = pages_.find(page);
+    if (mit == pages_.end())
         return;
     MetadataEntry &m = mit->second;
     if (!m.valid || m.zero)
@@ -174,135 +129,6 @@ CompressoController::inflateSlot(const MetadataEntry &m, LineIdx idx) const
 }
 
 // ---------------------------------------------------------------------
-// Functional store
-// ---------------------------------------------------------------------
-
-Addr
-CompressoController::mpaOf(const MetadataEntry &m, uint32_t off) const
-{
-    unsigned ci = off / kChunkBytes;
-    assert(ci < m.chunks);
-    // Scatter chunks across the physical space (bijective odd-multiplier
-    // hash mod 2^26): free-list allocation does not hand out DRAM-row-
-    // adjacent chunks in a long-running system, and modeling it as if
-    // it did would overstate compressed row-buffer locality.
-    Addr scattered = ((Addr(m.mpfn[ci]) >> 3) * 0x9e3779b1ULL * 8 + (Addr(m.mpfn[ci]) & 7)) &
-        ((1u << 26) - 1);
-    return scattered * kChunkBytes + off % kChunkBytes;
-}
-
-void
-CompressoController::storeBytes(const MetadataEntry &m, uint32_t off,
-                                const uint8_t *src, size_t len)
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < m.chunks && m.mpfn[ci] != kNoChunk);
-        std::copy(src, src + n, chunks_.data(m.mpfn[ci]).begin() + co);
-        src += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-void
-CompressoController::loadBytes(const MetadataEntry &m, uint32_t off,
-                               uint8_t *dst, size_t len) const
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < m.chunks && m.mpfn[ci] != kNoChunk);
-        const auto &chunk = chunks_.data(m.mpfn[ci]);
-        std::copy(chunk.begin() + co, chunk.begin() + co + n, dst);
-        dst += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-unsigned
-CompressoController::deviceOps(const MetadataEntry &m, uint32_t off,
-                               size_t len, bool write, bool critical,
-                               McTrace &trace, AttribComp comp)
-{
-    if (len == 0)
-        return 0;
-    unsigned first = off / kLineBytes;
-    unsigned last = unsigned((off + len - 1) / kLineBytes);
-    unsigned issued = 0;
-    for (unsigned b = first; b <= last; ++b) {
-        Addr block = mpaOf(m, b * uint32_t(kLineBytes));
-        // Split-access attribution: the first issued block of a
-        // critical access carries the caller's component; the rest are
-        // the split penalty.
-        AttribComp op_comp =
-            critical && issued > 0 ? AttribComp::kDeviceExtra : comp;
-        if (write) {
-            streamBufferInvalidate(block);
-            trace.add(block, true, critical, op_comp);
-            ++st_data_write_ops_;
-            fault_.onWrite(block);
-            ++issued;
-        } else {
-            if (critical && cfg_.stream_buffer && streamBufferHit(block)) {
-                ++st_prefetch_hits_;
-                continue;
-            }
-            trace.add(block, false, critical, op_comp);
-            ++st_data_read_ops_;
-            // Only demand-critical reads are architecturally exposed
-            // to stored faults; background traffic rewrites blocks.
-            if (critical)
-                fault_.onCriticalRead(block);
-            if (critical && cfg_.stream_buffer)
-                streamBufferInsert(block);
-            ++issued;
-        }
-    }
-    return last - first + 1;
-}
-
-bool
-CompressoController::resizeAlloc(MetadataEntry &m, unsigned target)
-{
-    assert(target <= kChunksPerPage);
-    while (m.chunks < target) {
-        ChunkNum c = chunks_.allocate();
-        if (c == kNoChunk && pressure_ != nullptr &&
-            busy_depth_ <= kBusyDepth) {
-            // Machine OOM: ask the governor for emergency ballooning
-            // (most-compressible cold pages first) and retry once.
-            // The busy-page stack keeps the reclaim away from every
-            // metadata entry live on this call stack.
-            PageNum busy = busy_depth_ > 0 ? busy_pages_[busy_depth_ - 1]
-                                           : kNoPage;
-            if (pressure_->onMachineOom(busy)) {
-                c = chunks_.allocate();
-                if (c != kNoChunk) {
-                    ++st_oom_rescues_;
-                    CPR_OBS_EVENT(obs_, ObsEvent::kOomRescue, busy, 1);
-                }
-            }
-        }
-        if (c == kNoChunk) {
-            ++stats_["machine_oom"];
-            return false;
-        }
-        m.mpfn[m.chunks++] = uint32_t(c);
-    }
-    while (m.chunks > target) {
-        --m.chunks;
-        chunks_.release(m.mpfn[m.chunks]);
-        m.mpfn[m.chunks] = kNoChunk;
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------
 // Compression helpers
 // ---------------------------------------------------------------------
 
@@ -336,14 +162,34 @@ CompressoController::decodeSlot(const MetadataEntry &m, uint32_t off,
     (void)ok;
 }
 
+void
+CompressoController::gatherPage(const MetadataEntry &m,
+                                std::array<Line, kLinesPerPage> &buf) const
+{
+    for (LineIdx i = 0; i < kLinesPerPage; ++i) {
+        int s = inflateSlot(m, i);
+        if (!m.compressed) {
+            loadBytes(m, i * uint32_t(kLineBytes), buf[i].data(),
+                      kLineBytes);
+        } else if (s >= 0) {
+            loadBytes(m, irBase(m) + uint32_t(s) * uint32_t(kLineBytes),
+                      buf[i].data(), kLineBytes);
+        } else if (m.line_code[i] != 0) {
+            decodeSlot(m, offsets_.offset(m.line_code, i), m.line_code[i],
+                       buf[i]);
+        } else {
+            buf[i].fill(0);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Page lifecycle
 // ---------------------------------------------------------------------
 
 void
-CompressoController::firstTouch(PageNum page, MetadataEntry &m)
+CompressoController::firstTouch(MetadataEntry &m)
 {
-    (void)page;
     m.valid = true;
     m.zero = true; // OSPA pages start as copy-on-write zero pages
     m.compressed = false;
@@ -377,12 +223,8 @@ CompressoController::writeToSlot(PageNum page, MetadataEntry &m,
     size_t len = bins_->binSize(code) == kLineBytes
                      ? kLineBytes
                      : std::max<size_t>(enc.bytes.size(), 1);
-    unsigned blocks = deviceOps(m, off, len, true, false, trace);
-    if (blocks > 1) {
-        ++st_split_wb_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, page, blocks);
-    }
+    noteSplit(st_split_wb_lines_, page,
+              deviceOps(m, off, len, true, false, trace));
     if (bins_->binSize(code) == kLineBytes) {
         // Raw-slot convention: reconstruct raw bytes from the encoding.
         // (The caller passes raw data through handleLineOverflow /
@@ -534,9 +376,7 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
     // to the degradation ladder's safe state (one terminal inflation
     // to uncompressed 4 KB) so the page stops generating relocations.
     if (pressure_ != nullptr) {
-        uint32_t used = irBase(m) +
-            uint32_t(m.inflate_count) * uint32_t(kLineBytes);
-        uint64_t est = 2ull * ((used + kLineBytes - 1) / kLineBytes);
+        uint64_t est = 2ull * ((usedBytes(m) + kLineBytes - 1) / kLineBytes);
         if (!pressure_->admitOp(PressureOp::kRelocation, est)) {
             ++st_overflow_escalations_;
             CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, page,
@@ -569,22 +409,8 @@ CompressoController::growSlotInPlace(PageNum page, MetadataEntry &m,
 
     // Gather every stored line (functional rebuild).
     std::array<Line, kLinesPerPage> buf;
-    std::array<bool, kLinesPerPage> present{};
-    for (LineIdx i = 0; i < kLinesPerPage; ++i) {
-        int s = inflateSlot(m, i);
-        if (s >= 0) {
-            loadBytes(m, irBase(m) + uint32_t(s) * uint32_t(kLineBytes),
-                      buf[i].data(), kLineBytes);
-            present[i] = true;
-        } else if (m.line_code[i] != 0) {
-            decodeSlot(m, offsets_.offset(m.line_code, i), m.line_code[i],
-                       buf[i]);
-            present[i] = true;
-        }
-    }
-
-    uint32_t old_used = irBase(m) +
-        uint32_t(m.inflate_count) * uint32_t(kLineBytes);
+    gatherPage(m, buf);
+    uint32_t old_used = usedBytes(m);
 
     // New slot codes: keep existing slots (no underflow harvesting on
     // this path — that is the repacking optimization), but inflated
@@ -638,17 +464,14 @@ CompressoController::growSlotInPlace(PageNum page, MetadataEntry &m,
     m.line_code = codes;
     m.inflate_count = 0;
 
-    // Rewrite the moved region in the new layout.
-    buf[idx] = Line{}; // will be overwritten below from enc
-    {
-        BitReader r(enc.bytes.data(), enc.bytes.size() * 8);
-        bool ok = codec_->decompress(r, buf[idx]);
-        assert(ok);
-        (void)ok;
-        present[idx] = true;
-    }
+    // Rewrite the moved region in the new layout. Only lines that held
+    // data (or the incoming one) can have a non-zero code here.
+    BitReader r(enc.bytes.data(), enc.bytes.size() * 8);
+    bool ok = codec_->decompress(r, buf[idx]);
+    assert(ok);
+    (void)ok;
     for (LineIdx i = 0; i < kLinesPerPage; ++i) {
-        if (!present[i] || m.line_code[i] == 0)
+        if (m.line_code[i] == 0)
             continue;
         uint32_t off = offsets_.offset(m.line_code, i);
         if (off + bins_->binSize(m.line_code[i]) <= move_from)
@@ -674,21 +497,8 @@ CompressoController::inflateToUncompressed(PageNum page, MetadataEntry &m,
     // Read out the whole compressed page, then store it raw in 8
     // chunks. Future streaming writebacks become 1:1 accesses.
     std::array<Line, kLinesPerPage> buf;
-    for (LineIdx i = 0; i < kLinesPerPage; ++i) {
-        int s = inflateSlot(m, i);
-        if (s >= 0) {
-            loadBytes(m, irBase(m) + uint32_t(s) * uint32_t(kLineBytes),
-                      buf[i].data(), kLineBytes);
-        } else if (m.line_code[i] != 0) {
-            decodeSlot(m, offsets_.offset(m.line_code, i), m.line_code[i],
-                       buf[i]);
-        } else {
-            buf[i].fill(0);
-        }
-    }
-    uint32_t old_used = m.compressed
-        ? irBase(m) + uint32_t(m.inflate_count) * uint32_t(kLineBytes)
-        : uint32_t(kPageBytes);
+    gatherPage(m, buf);
+    uint32_t old_used = usedBytes(m);
     if (m.chunks > 0)
         deviceOps(m, 0, old_used, false, false, trace, comp);
     uint64_t inflate_cost =
@@ -712,8 +522,8 @@ void
 CompressoController::repackPage(PageNum page, McTrace &trace)
 {
     CPR_PROF_SCOPE(ProfPhase::kMcRepack);
-    auto mit = meta_.find(page);
-    if (mit == meta_.end())
+    auto mit = pages_.find(page);
+    if (mit == pages_.end())
         return;
     MetadataEntry &m = mit->second;
     if (!m.valid || m.zero || m.chunks == 0)
@@ -722,10 +532,7 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
     // pressure the governor may defer it outright — skipping is always
     // safe, the page just keeps its current (larger) footprint.
     if (pressure_ != nullptr) {
-        uint32_t est_used = m.compressed
-            ? irBase(m) + uint32_t(m.inflate_count) * uint32_t(kLineBytes)
-            : uint32_t(kPageBytes);
-        uint64_t est = 2ull * ((est_used + kLineBytes - 1) / kLineBytes);
+        uint64_t est = 2ull * ((usedBytes(m) + kLineBytes - 1) / kLineBytes);
         if (!pressure_->admitOp(PressureOp::kRepack, est)) {
             ++st_repacks_throttled_;
             CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, page,
@@ -738,25 +545,8 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
 
     // Gather current data.
     std::array<Line, kLinesPerPage> buf;
-    for (LineIdx i = 0; i < kLinesPerPage; ++i) {
-        int s = inflateSlot(m, i);
-        if (!m.compressed) {
-            loadBytes(m, i * uint32_t(kLineBytes), buf[i].data(),
-                      kLineBytes);
-        } else if (s >= 0) {
-            loadBytes(m, irBase(m) + uint32_t(s) * uint32_t(kLineBytes),
-                      buf[i].data(), kLineBytes);
-        } else if (m.line_code[i] != 0) {
-            decodeSlot(m, offsets_.offset(m.line_code, i), m.line_code[i],
-                       buf[i]);
-        } else {
-            buf[i].fill(0);
-        }
-    }
-
-    uint32_t old_used = m.compressed
-        ? irBase(m) + uint32_t(m.inflate_count) * uint32_t(kLineBytes)
-        : uint32_t(kPageBytes);
+    gatherPage(m, buf);
+    uint32_t old_used = usedBytes(m);
 
     // New layout straight from the actual compressibility.
     uint32_t new_pack = 0;
@@ -881,128 +671,23 @@ CompressoController::updateFreeSpace(MetadataEntry &m, const PageShadow &sh)
 }
 
 // ---------------------------------------------------------------------
-// Fault handling (degradation ladder: correct -> rebuild -> inflate ->
-// poison; fault/fault_injector.h)
+// Fault handling (the ladder itself lives in CompressedController)
 // ---------------------------------------------------------------------
 
 void
-CompressoController::recoverMetadataFault(PageNum page, McTrace &trace)
+CompressoController::relayoutRaw(PageNum page, MetadataEntry &m,
+                                 McTrace &trace)
 {
-    MetadataEntry &m = meta_[page];
-    FaultInjector *fi = fault_.injector();
-
-    if (!fault_.recoveryEnabled()) {
-        // The OSPA->MPA mapping for the whole page is unreliable and
-        // nothing rebuilds it: retire the page.
-        if (m.valid && !fault_.pagePoisoned(page)) {
-            fault_.poisonPage(page);
-            ++stats_["fault_pages_poisoned"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, page,
-                          uint32_t(FaultRung::kPagePoison));
-        }
-        fi->scrub(metadataAddr(page));
-        return;
-    }
-
-    BusyScope busy(*this, page);
-    size_t before = trace.ops.size();
-    uint64_t est = 1;
-    if (m.valid && !m.zero && m.chunks > 0) {
-        uint32_t used = m.compressed
-            ? irBase(m) + uint32_t(m.inflate_count) * uint32_t(kLineBytes)
-            : uint32_t(kPageBytes);
-        est += (used + kLineBytes - 1) / kLineBytes;
-    }
-    unsigned rebuilds;
-    if (pressure_ == nullptr ||
-        pressure_->admitOp(PressureOp::kMetaRebuild, est)) {
-        // Rebuild the entry by re-walking the page's stored bytes and
-        // recomputing the layout fields, then rewrite the entry.
-        // Repair traffic is suppressed so it cannot fault recursively.
-        ++stats_["fault_meta_rebuilds"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, page,
-                      uint32_t(FaultRung::kMetaRebuild));
-        fi->noteMetaRebuild();
-        {
-            FaultHooks::SuppressScope guard(fault_);
-            if (m.valid && !m.zero && m.chunks > 0) {
-                uint32_t used = m.compressed
-                    ? irBase(m) +
-                          uint32_t(m.inflate_count) * uint32_t(kLineBytes)
-                    : uint32_t(kPageBytes);
-                deviceOps(m, 0, used, false, false, trace,
-                          AttribComp::kFaultRecovery);
-            }
-            trace.add(metadataAddr(page), true, false,
-                      AttribComp::kFaultRecovery);
-            ++stats_["md_write_ops"];
-        }
-        fi->scrub(metadataAddr(page));
-        rebuilds = ++meta_rebuilds_[page];
-    } else {
-        // The rebuild stall budget is blown (watchdog breach): this
-        // entry's re-walks are what is stalling the machine, so skip
-        // the walk and take the next ladder rung — the safe-state
-        // inflation below — directly.
-        ++stats_["fault_rebuilds_throttled"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, page,
-                      uint32_t(PressureOp::kMetaRebuild));
-        fi->scrub(metadataAddr(page));
-        rebuilds = fi->config().max_meta_rebuilds + 1;
-        meta_rebuilds_[page] = rebuilds;
-    }
-    if (rebuilds > fi->config().max_meta_rebuilds && m.valid && !m.zero &&
-        m.compressed) {
-        // This entry keeps taking hits; stop depending on its fragile
-        // layout fields by escalating to the paper's safe state: an
-        // uncompressed 4 KB page with the identity layout.
-        ++stats_["fault_pages_inflated"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, page,
-                      uint32_t(FaultRung::kInflateSafety));
-        fi->notePageInflatedSafety();
-        FaultHooks::SuppressScope guard(fault_);
-        inflateToUncompressed(page, m, trace,
-                              AttribComp::kFaultRecovery);
-        shadow(page).predictor_inflated = true;
-        updateFreeSpace(m, shadow(page));
-        meta_rebuilds_.erase(page);
-    }
-    uint64_t ops = trace.ops.size() - before;
-    fi->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
-    if (pressure_ != nullptr)
-        pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
-}
-
-void
-CompressoController::poisonDataFault(Addr ospa_line, const MetadataEntry &m,
-                                     uint32_t off, size_t len,
-                                     McTrace &trace)
-{
-    // The stored data is gone (DUE); ECC flagged it, so the failure is
-    // contained: poison the OSPA line and rewrite the slot's blocks
-    // with the poison pattern so the fault does not re-fire. The
-    // rewrite scrubs the accumulated fault bits (deviceOps write hook).
-    fault_.poisonLine(ospa_line);
-    ++stats_["fault_lines_poisoned"];
-    CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pageOf(ospa_line),
-                  uint32_t(FaultRung::kLinePoison));
-    size_t before = trace.ops.size();
-    // retry read, then the poison rewrite
-    deviceOps(m, off, len, false, false, trace,
-              AttribComp::kFaultRecovery);
-    deviceOps(m, off, len, true, false, trace,
-              AttribComp::kFaultRecovery);
-    uint64_t ops = trace.ops.size() - before;
-    fault_.injector()->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
+    inflateToUncompressed(page, m, trace, AttribComp::kFaultRecovery);
+    shadow(page).predictor_inflated = true;
+    updateFreeSpace(m, shadow(page));
 }
 
 bool
 CompressoController::recoverCorruptPage(PageNum page)
 {
-    auto mit = meta_.find(page);
-    if (mit == meta_.end())
+    auto mit = pages_.find(page);
+    if (mit == pages_.end())
         return false;
     MetadataEntry &m = mit->second;
 
@@ -1058,33 +743,6 @@ CompressoController::recoverCorruptPage(PageNum page)
 }
 
 // ---------------------------------------------------------------------
-// Stream buffer (free prefetch, Sec. VII-A)
-// ---------------------------------------------------------------------
-
-bool
-CompressoController::streamBufferHit(Addr block) const
-{
-    return std::find(stream_buf_.begin(), stream_buf_.end(), block) !=
-           stream_buf_.end();
-}
-
-void
-CompressoController::streamBufferInsert(Addr block)
-{
-    stream_buf_.push_back(block);
-    while (stream_buf_.size() > cfg_.stream_buffer_blocks)
-        stream_buf_.pop_front();
-}
-
-void
-CompressoController::streamBufferInvalidate(Addr block)
-{
-    auto it = std::find(stream_buf_.begin(), stream_buf_.end(), block);
-    if (it != stream_buf_.end())
-        stream_buf_.erase(it);
-}
-
-// ---------------------------------------------------------------------
 // Public operations
 // ---------------------------------------------------------------------
 
@@ -1094,55 +752,32 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcFill);
     PageNum page = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
+    OpScope op(*this, page, trace);
     ++st_fills_;
-    BusyScope busy(*this, page);
 
-    MetadataEntry &m = meta(page);
-    mdAccess(page, false, trace);
+    MetadataEntry &m = pages_[page];
+    mdAccess(page, false, trace, m.halfCacheable());
 
-    if (fault_.active() && (fault_.pagePoisoned(page) ||
-                            fault_.linePoisoned(lineAddr(addr)))) {
-        // Retired by the degradation ladder: serve the poison value.
-        data.fill(0);
-        ++st_fault_poison_fills_;
-        cur_trace_ = nullptr;
+    // Retired by the degradation ladder: serve the poison value.
+    if (servePoisoned(page, addr, data))
         return;
-    }
 
     if (!m.valid || m.zero) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
 
-    if (!m.compressed) {
-        uint32_t off = idx * uint32_t(kLineBytes);
+    int slot = m.compressed ? inflateSlot(m, idx) : -1;
+    if (!m.compressed || slot >= 0) {
+        // Raw page, or a line in the inflation room: stored raw.
+        uint32_t off = !m.compressed
+            ? idx * uint32_t(kLineBytes)
+            : irBase(m) + uint32_t(slot) * uint32_t(kLineBytes);
         deviceOps(m, off, kLineBytes, false, true, trace);
-        if (fault_.takePending() == FaultOutcome::kDetected) {
-            poisonDataFault(lineAddr(addr), m, off, kLineBytes, trace);
-            data.fill(0);
-            cur_trace_ = nullptr;
+        if (dataFaultPoisoned(addr, m, off, kLineBytes, data, trace))
             return;
-        }
         loadBytes(m, off, data.data(), kLineBytes);
-        cur_trace_ = nullptr;
-        return;
-    }
-
-    int slot = inflateSlot(m, idx);
-    if (slot >= 0) {
-        uint32_t off = irBase(m) + uint32_t(slot) * uint32_t(kLineBytes);
-        deviceOps(m, off, kLineBytes, false, true, trace);
-        if (fault_.takePending() == FaultOutcome::kDetected) {
-            poisonDataFault(lineAddr(addr), m, off, kLineBytes, trace);
-            data.fill(0);
-            cur_trace_ = nullptr;
-            return;
-        }
-        loadBytes(m, off, data.data(), kLineBytes);
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -1150,7 +785,6 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
     if (code == 0) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -1159,18 +793,10 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
     trace.addFixed(AttribComp::kMdcacheHit, offsets_.extraCycles());
     uint32_t off = offsets_.offset(m.line_code, idx);
     uint16_t sz = bins_->binSize(code);
-    unsigned blocks = deviceOps(m, off, sz, false, true, trace);
-    if (blocks > 1) {
-        ++st_split_fill_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, page, blocks);
-    }
-    if (fault_.takePending() == FaultOutcome::kDetected) {
-        poisonDataFault(lineAddr(addr), m, off, sz, trace);
-        data.fill(0);
-        cur_trace_ = nullptr;
+    noteSplit(st_split_fill_lines_, page,
+              deviceOps(m, off, sz, false, true, trace));
+    if (dataFaultPoisoned(addr, m, off, sz, data, trace))
         return;
-    }
     decodeSlot(m, off, code, data);
     if (sz != kLineBytes)
         trace.addFixed(AttribComp::kDecompress, cfg_.compression_latency);
@@ -1193,7 +819,19 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
         }
     }
     st_co_fetched_lines_ += trace.co_fetched.size();
-    cur_trace_ = nullptr;
+}
+
+void
+CompressoController::noteActualBin(PageNum page, MetadataEntry &m,
+                                   PageShadow &sh, LineIdx idx,
+                                   unsigned bin)
+{
+    if (bin < sh.actual_bin[idx]) {
+        ++st_line_underflows_;
+        predictor_.onLineUnderflow(mdcache_.predictorCounter(page));
+    }
+    sh.actual_bin[idx] = uint8_t(bin);
+    updateFreeSpace(m, sh);
 }
 
 void
@@ -1203,36 +841,25 @@ CompressoController::writebackLine(Addr addr, const Line &data,
     CPR_PROF_SCOPE(ProfPhase::kMcWriteback);
     PageNum page = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
+    OpScope op(*this, page, trace);
     ++st_writebacks_;
-    BusyScope busy(*this, page);
 
-    MetadataEntry &m = meta(page);
-    mdAccess(page, true, trace);
+    MetadataEntry &m = pages_[page];
+    mdAccess(page, true, trace, m.halfCacheable());
 
-    if (fault_.active()) {
-        if (fault_.pagePoisoned(page)) {
-            // The page was retired; the OS must remap it (freePage)
-            // before it can hold data again.
-            ++st_fault_dropped_wbs_;
-            cur_trace_ = nullptr;
-            return;
-        }
-        // A writeback rewrites the line: heals any line poison.
-        fault_.clearLinePoison(lineAddr(addr));
-    }
+    if (dropPoisonedWriteback(page, addr))
+        return;
 
     Encoded enc = encodeLine(data);
     CPR_OBS_HIST(h_line_bytes_, enc.zero ? 0 : enc.bytes.size());
     PageShadow &sh = shadow(page);
 
     if (!m.valid)
-        firstTouch(page, m);
+        firstTouch(m);
 
     if (m.zero) {
         if (enc.zero) {
             ++st_zero_wbs_;
-            cur_trace_ = nullptr;
             return;
         }
         // First real data in the page: give the line a right-sized
@@ -1247,34 +874,17 @@ CompressoController::writebackLine(Addr addr, const Line &data,
 
     trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);
 
-    if (!m.compressed) {
-        uint32_t off = idx * uint32_t(kLineBytes);
+    int slot = m.compressed ? inflateSlot(m, idx) : -1;
+    if (!m.compressed || slot >= 0) {
+        // Raw page, or a line in the inflation room: store it raw.
+        uint32_t off = !m.compressed
+            ? idx * uint32_t(kLineBytes)
+            : irBase(m) + uint32_t(slot) * uint32_t(kLineBytes);
         deviceOps(m, off, kLineBytes, true, false, trace);
         storeBytes(m, off, data.data(), kLineBytes);
-        if (enc.bin < sh.actual_bin[idx]) {
-            ++st_line_underflows_;
-            predictor_.onLineUnderflow(mdcache_.predictorCounter(page));
-        }
-        sh.actual_bin[idx] = uint8_t(enc.bin);
-        updateFreeSpace(m, sh);
-        CPR_CHECKED_AUDIT(page, "writeback (raw page)");
-        cur_trace_ = nullptr;
-        return;
-    }
-
-    int slot = inflateSlot(m, idx);
-    if (slot >= 0) {
-        uint32_t off = irBase(m) + uint32_t(slot) * uint32_t(kLineBytes);
-        deviceOps(m, off, kLineBytes, true, false, trace);
-        storeBytes(m, off, data.data(), kLineBytes);
-        if (enc.bin < sh.actual_bin[idx]) {
-            ++st_line_underflows_;
-            predictor_.onLineUnderflow(mdcache_.predictorCounter(page));
-        }
-        sh.actual_bin[idx] = uint8_t(enc.bin);
-        updateFreeSpace(m, sh);
-        CPR_CHECKED_AUDIT(page, "writeback (inflation room)");
-        cur_trace_ = nullptr;
+        noteActualBin(page, m, sh, idx, enc.bin);
+        CPR_CHECKED_AUDIT(page, !m.compressed ? "writeback (raw page)"
+                                              : "writeback (inflation room)");
         return;
     }
 
@@ -1285,14 +895,8 @@ CompressoController::writebackLine(Addr addr, const Line &data,
         } else {
             writeToSlot(page, m, idx, enc, trace);
         }
-        if (enc.bin < sh.actual_bin[idx]) {
-            ++st_line_underflows_;
-            predictor_.onLineUnderflow(mdcache_.predictorCounter(page));
-        }
-        sh.actual_bin[idx] = uint8_t(enc.bin);
-        updateFreeSpace(m, sh);
+        noteActualBin(page, m, sh, idx, enc.bin);
         CPR_CHECKED_AUDIT(page, "writeback (in place)");
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -1300,50 +904,16 @@ CompressoController::writebackLine(Addr addr, const Line &data,
     sh.actual_bin[idx] = uint8_t(enc.bin);
     updateFreeSpace(m, sh);
     CPR_CHECKED_AUDIT(page, "writeback (overflow/inflation)");
-    cur_trace_ = nullptr;
 }
 
 // ---------------------------------------------------------------------
 // Accounting & maintenance
 // ---------------------------------------------------------------------
 
-uint64_t
-CompressoController::ospaBytes() const
-{
-    uint64_t n = 0;
-    for (const auto &[page, m] : meta_)
-        n += m.valid ? kPageBytes : 0;
-    return n;
-}
-
-uint64_t
-CompressoController::mpaDataBytes() const
-{
-    return chunks_.usedBytes();
-}
-
-uint64_t
-CompressoController::mpaMetadataBytes() const
-{
-    uint64_t valid = 0;
-    for (const auto &[page, m] : meta_)
-        valid += m.valid ? 1 : 0;
-    return valid * kMetadataEntryBytes;
-}
-
 void
-CompressoController::freePage(PageNum page)
+CompressoController::onPageFreed(PageNum page)
 {
-    auto mit = meta_.find(page);
-    if (mit == meta_.end() || !mit->second.valid)
-        return;
-    resizeAlloc(mit->second, 0);
-    mit->second = MetadataEntry{};
     shadow_.erase(page);
-    mdcache_.invalidate(page);
-    fault_.clearPagePoison(page);
-    meta_rebuilds_.erase(page);
-    ++stats_["pages_freed"];
     CPR_CHECKED_AUDIT(page, "freePage (balloon release)");
 }
 
@@ -1353,8 +923,8 @@ CompressoController::repackAll()
     McTrace scratch;
     cur_trace_ = &scratch;
     std::vector<PageNum> pages;
-    pages.reserve(meta_.size());
-    for (const auto &[page, m] : meta_)
+    pages.reserve(pages_.size());
+    for (const auto &[page, m] : pages_)
         if (m.valid && !m.zero && m.free_space >= kChunkBytes)
             pages.push_back(page);
     for (PageNum p : pages)
@@ -1372,7 +942,7 @@ CompressoController::audit() const
     AuditReport rep;
     InvariantAuditor auditor(*bins_, cfg_.page_sizing);
     InvariantAuditor::ChunkCrossCheck xcheck;
-    for (const auto &[page, m] : meta_) {
+    for (const auto &[page, m] : pages_) {
         auto sit = shadow_.find(page);
         const uint8_t *actual_bin =
             sit != shadow_.end() && m.valid && !m.zero
@@ -1394,8 +964,8 @@ CompressoController::auditPage(PageNum page) const
 {
     AuditReport rep;
     InvariantAuditor auditor(*bins_, cfg_.page_sizing);
-    auto mit = meta_.find(page);
-    if (mit != meta_.end()) {
+    auto mit = pages_.find(page);
+    if (mit != pages_.end()) {
         auto sit = shadow_.find(page);
         const uint8_t *actual_bin =
             sit != shadow_.end() && mit->second.valid &&

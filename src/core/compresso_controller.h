@@ -21,21 +21,15 @@
 #ifndef COMPRESSO_CORE_COMPRESSO_CONTROLLER_H
 #define COMPRESSO_CORE_COMPRESSO_CONTROLLER_H
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_allocator.h"
-#include "core/memory_controller.h"
+#include "core/compressed_controller.h"
 #include "core/offset_circuit.h"
 #include "core/predictor.h"
-#include "core/pressure_hooks.h"
-#include "fault/fault_hooks.h"
-#include "meta/metadata_cache.h"
 #include "meta/metadata_entry.h"
-#include "obs/observer.h"
 #include "packing/linepack.h"
 
 namespace compresso {
@@ -70,7 +64,7 @@ struct CompressoConfig
     Cycle mdcache_hit_latency = 2;
 };
 
-class CompressoController : public MemoryController
+class CompressoController : public CompressedController<MetadataEntry>
 {
   public:
     explicit CompressoController(const CompressoConfig &cfg);
@@ -81,69 +75,16 @@ class CompressoController : public MemoryController
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override;
-    uint64_t mpaDataBytes() const override;
-    uint64_t mpaMetadataBytes() const override;
-
-    void freePage(PageNum page) override;
-
-    /** Wire the fault-injection harness (fault/fault_injector.h) into
-     *  the demand paths: exposed reads are ECC-adjudicated and
-     *  detected-uncorrectable faults enter the degradation ladder
-     *  (rebuild -> inflate-to-4KB -> poison). */
-    void attachFaultInjector(FaultInjector *fi) override
-    {
-        fault_.attach(fi);
-    }
-
-    /** Wire the observability layer through the controller and its
-     *  metadata cache; caches histogram handles so the hot paths
-     *  never do name lookups. */
+    /** Also caches the page-occupancy and repack-cost histograms. */
     void attachObserver(Observer *obs) override;
 
-    /** Wire the pressure governor (core/pressure_hooks.h): OOM rescue
-     *  via emergency ballooning, admission throttling of repack /
-     *  speculative inflation, and watchdogged stall budgets on the
-     *  relocation and metadata-rebuild paths. */
-    void attachPressureListener(PressureListener *pl) override
-    {
-        pressure_ = pl;
-    }
-
-    /** Machine bytes backing @p page: allocated chunks times 512 B
-     *  (0 for untouched/zero pages). Reclaim-ranking input for the
-     *  governor's most-compressible-first emergency ballooning. */
-    uint64_t pageCompressedBytes(PageNum page) const override
-    {
-        auto it = meta_.find(page);
-        if (it == meta_.end() || !it->second.valid)
-            return 0;
-        return uint64_t(it->second.chunks) * kChunkBytes;
-    }
-
-    /** Pages with a live metadata reference on the call stack
-     *  (writeback / repack-on-evict / fault recovery nest up to
-     *  kBusyDepth deep); the governor's emergency reclaim must not
-     *  free them. */
-    bool pageBusy(PageNum page) const override
-    {
-        for (unsigned i = 0; i < busy_depth_ && i < kBusyDepth; ++i)
-            if (busy_pages_[i] == page)
-                return true;
-        return false;
-    }
-
-    StatGroup &stats() override { return stats_; }
-    const StatGroup &stats() const override { return stats_; }
-
-    MetadataCache &metadataCache() { return mdcache_; }
     PageOverflowPredictor &predictor() { return predictor_; }
     const SizeBins &lineBins() const { return *bins_; }
     const CompressoConfig &config() const { return cfg_; }
 
     /** Metadata entry for a page (creating an invalid one if absent);
      *  exposed for tests and diagnostics. */
-    const MetadataEntry &pageMeta(PageNum page);
+    const MetadataEntry &pageMeta(PageNum page) { return pages_[page]; }
 
     /** Force a repack pass over every touched page (diagnostic /
      *  best-case accounting; not part of the architecture). */
@@ -167,7 +108,7 @@ class CompressoController : public MemoryController
      *  the auditor tests plant corruptions (leaked chunks, stale
      *  free_space, invalid codes) and prove audit() reports them.
      *  Never use from simulation code. */
-    MetadataEntry &pageMetaForTest(PageNum page) { return meta_[page]; }
+    MetadataEntry &pageMetaForTest(PageNum page) { return pages_[page]; }
 
     /** Chunk-allocator access for the same fault-injection tests. */
     ChunkAllocator &chunkAllocatorForTest() { return chunks_; }
@@ -194,58 +135,44 @@ class CompressoController : public MemoryController
      *  recovery path. */
     AuditReport auditPage(PageNum page) const;
 
-    // --- fault handling (degradation ladder) ---
-    /** Detected-uncorrectable metadata fault: rebuild the entry by
-     *  re-walking the page; after max_meta_rebuilds, escalate to
-     *  inflating the page to uncompressed 4 KB (the paper's safe
-     *  state). Without recovery, retire (poison) the page. */
-    void recoverMetadataFault(PageNum page, McTrace &trace);
-    /** Detected-uncorrectable data fault on a demand fill: poison the
-     *  OSPA line and charge the recovery trace (retry read + poison-
-     *  pattern rewrite, which scrubs the faulty blocks). */
-    void poisonDataFault(Addr ospa_line, const MetadataEntry &m,
-                         uint32_t off, size_t len, McTrace &trace);
+    // --- fault ladder hooks: a hardware re-walk of the stored page;
+    // the safe state is the uncompressed 4 KB page ---
+    uint32_t rebuildWalkBytes(const MetadataEntry &m) const override
+    {
+        return usedBytes(m);
+    }
+    bool pageRaw(const MetadataEntry &m) const override
+    {
+        return !m.compressed;
+    }
+    void relayoutRaw(PageNum page, MetadataEntry &m,
+                     McTrace &trace) override;
     /** Best-effort local repair of an audit-caught corrupt page:
      *  recompute derived fields, else retire the page to a poisoned
      *  zero state. Returns false if the damage is cross-structure
      *  (leaked/double-mapped chunks) and only an abort is safe. */
     bool recoverCorruptPage(PageNum page);
 
-    // --- metadata & timing helpers ---
-    MetadataEntry &meta(PageNum page);
-    PageShadow &shadow(PageNum page);
-    Addr metadataAddr(PageNum page) const;
-    void mdAccess(PageNum page, bool dirty, McTrace &trace);
-    void onMetaEvict(PageNum page, bool dirty);
+    /** Repack-on-eviction trigger (Sec. IV-B4). */
+    void onMetaEvict(PageNum page) override;
+    void onPageFreed(PageNum page) override;
+
+    PageShadow &shadow(PageNum page) { return shadow_[page]; }
 
     // --- layout helpers ---
     uint32_t packBytes(const MetadataEntry &m) const;
     uint32_t irBase(const MetadataEntry &m) const;
-    uint32_t allocBytes(const MetadataEntry &m) const
+    /** Bytes holding data: packed lines plus inflated lines, or the
+     *  whole page when it is stored raw. */
+    uint32_t
+    usedBytes(const MetadataEntry &m) const
     {
-        return uint32_t(m.chunks) * uint32_t(kChunkBytes);
+        return m.compressed ? irBase(m) + uint32_t(m.inflate_count) *
+                                              uint32_t(kLineBytes)
+                            : uint32_t(kPageBytes);
     }
     /** IR slot index of line @p idx, or -1 if not inflated. */
     int inflateSlot(const MetadataEntry &m, LineIdx idx) const;
-
-    // --- functional store ---
-    void storeBytes(const MetadataEntry &m, uint32_t off,
-                    const uint8_t *src, size_t len);
-    void loadBytes(const MetadataEntry &m, uint32_t off, uint8_t *dst,
-                   size_t len) const;
-    Addr mpaOf(const MetadataEntry &m, uint32_t off) const;
-
-    /** Enqueue the device ops covering bytes [off, off+len) of a page;
-     *  returns the number of 64 B blocks touched. Ops are attributed
-     *  to @p comp; the blocks of a critical read beyond the first are
-     *  retagged device_extra (split-access cost, DESIGN.md §15). */
-    unsigned deviceOps(const MetadataEntry &m, uint32_t off, size_t len,
-                       bool write, bool critical, McTrace &trace,
-                       AttribComp comp = AttribComp::kDeviceData);
-
-    /** Grow/shrink a page's chunk allocation to @p chunks. Returns
-     *  false if machine memory is exhausted. */
-    bool resizeAlloc(MetadataEntry &m, unsigned chunks);
 
     // --- compression helpers ---
     struct Encoded
@@ -257,9 +184,13 @@ class CompressoController : public MemoryController
     Encoded encodeLine(const Line &data) const;
     void decodeSlot(const MetadataEntry &m, uint32_t off, unsigned bin,
                     Line &out) const;
+    /** Every line of a compressed page, decoded (zero for empty
+     *  slots). */
+    void gatherPage(const MetadataEntry &m,
+                    std::array<Line, kLinesPerPage> &buf) const;
 
     // --- page lifecycle ---
-    void firstTouch(PageNum page, MetadataEntry &m);
+    void firstTouch(MetadataEntry &m);
     void materializeZeroPage(MetadataEntry &m, PageShadow &sh);
     void writeToSlot(PageNum page, MetadataEntry &m, LineIdx idx,
                      const Encoded &enc, McTrace &trace);
@@ -274,11 +205,10 @@ class CompressoController : public MemoryController
                                    AttribComp::kOverflowRelayout);
     void repackPage(PageNum page, McTrace &trace);
     void updateFreeSpace(MetadataEntry &m, const PageShadow &sh);
-
-    // --- stream buffer (free prefetch) ---
-    bool streamBufferHit(Addr block) const;
-    void streamBufferInsert(Addr block);
-    void streamBufferInvalidate(Addr block);
+    /** Track a writeback's actual bin (underflows feed the predictor)
+     *  and refresh the page's free space. */
+    void noteActualBin(PageNum page, MetadataEntry &m, PageShadow &sh,
+                       LineIdx idx, unsigned bin);
 
     // --- predictor wrappers (flip detection for the event trace) ---
     void predictorPageOverflow(PageNum page);
@@ -287,66 +217,18 @@ class CompressoController : public MemoryController
     CompressoConfig cfg_;
     const SizeBins *bins_;
     std::unique_ptr<Compressor> codec_;
-    ChunkAllocator chunks_;
-    MetadataCache mdcache_;
     PageOverflowPredictor predictor_;
     OffsetCircuit offsets_;
 
-    std::unordered_map<PageNum, MetadataEntry> meta_;
     std::unordered_map<PageNum, PageShadow> shadow_;
-    std::deque<Addr> stream_buf_;
-    McTrace *cur_trace_ = nullptr; ///< active trace for evict hooks
 
-    FaultHooks fault_;
-    /** Metadata rebuilds taken per page (escalation bound). */
-    std::unordered_map<PageNum, unsigned> meta_rebuilds_;
-
-    PressureListener *pressure_ = nullptr;
-    /** Busy-page stack backing pageBusy(): writeback -> md-evict
-     *  repack -> fault recovery is the deepest real nesting. */
-    static constexpr unsigned kBusyDepth = 4;
-    std::array<PageNum, kBusyDepth> busy_pages_{};
-    unsigned busy_depth_ = 0;
-
-    /** RAII busy-page marker for the operations that can reach an
-     *  allocation (and therefore an OOM-rescue reclaim). */
-    class BusyScope
-    {
-      public:
-        BusyScope(CompressoController &mc, PageNum page) : mc_(mc)
-        {
-            if (mc_.busy_depth_ < kBusyDepth)
-                mc_.busy_pages_[mc_.busy_depth_] = page;
-            ++mc_.busy_depth_;
-        }
-        ~BusyScope() { --mc_.busy_depth_; }
-        BusyScope(const BusyScope &) = delete;
-        BusyScope &operator=(const BusyScope &) = delete;
-
-      private:
-        CompressoController &mc_;
-    };
-
-    StatGroup stats_{"mc"};
     // Cached hot-path counter handles (stable across reset()).
-    uint64_t &st_fills_ = stats_.stat("fills");
-    uint64_t &st_writebacks_ = stats_.stat("writebacks");
-    uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
-    uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_data_read_ops_ = stats_.stat("data_read_ops");
-    uint64_t &st_data_write_ops_ = stats_.stat("data_write_ops");
-    uint64_t &st_prefetch_hits_ = stats_.stat("prefetch_hits");
-    uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
-    uint64_t &st_md_write_ops_ = stats_.stat("md_write_ops");
-    uint64_t &st_split_extra_ops_ = stats_.stat("split_extra_ops");
-    uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
     uint64_t &st_line_underflows_ = stats_.stat("line_underflows");
     uint64_t &st_co_fetched_lines_ = stats_.stat("co_fetched_lines");
     uint64_t &st_free_slot_growths_ = stats_.stat("free_slot_growths");
     uint64_t &st_free_page_grows_ = stats_.stat("free_page_grows");
     uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
-    uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_ir_placements_ = stats_.stat("ir_placements");
     uint64_t &st_predictor_inflations_ = stats_.stat("predictor_inflations");
     uint64_t &st_dyn_ir_expansions_ = stats_.stat("dyn_ir_expansions");
@@ -354,18 +236,12 @@ class CompressoController : public MemoryController
     uint64_t &st_repacks_ = stats_.stat("repacks");
     uint64_t &st_repack_read_ops_ = stats_.stat("repack_read_ops");
     uint64_t &st_repack_write_ops_ = stats_.stat("repack_write_ops");
-    uint64_t &st_fault_poison_fills_ = stats_.stat("fault_poison_fills");
-    uint64_t &st_fault_dropped_wbs_ = stats_.stat("fault_dropped_wbs");
-    uint64_t &st_oom_rescues_ = stats_.stat("oom_rescues");
     uint64_t &st_repacks_throttled_ = stats_.stat("repacks_throttled");
     uint64_t &st_inflations_throttled_ =
         stats_.stat("inflations_throttled");
     uint64_t &st_overflow_escalations_ =
         stats_.stat("overflow_escalations");
 
-    // Observability (src/obs): null when disabled.
-    Observer *obs_ = nullptr;
-    Histogram *h_line_bytes_ = nullptr;   ///< compressed writeback size
     Histogram *h_page_alloc_ = nullptr;   ///< page allocation (occupancy)
     Histogram *h_page_free_ = nullptr;    ///< page free space
     Histogram *h_repack_cost_ = nullptr;  ///< 64 B ops per repack

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "check/invariant_auditor.h"
 #include "prof/profiler.h"
 #include "packing/linepack.h"
 
@@ -16,59 +15,19 @@ constexpr Addr kMetadataRegionBase = Addr(1) << 43;
 } // namespace
 
 DmcController::DmcController(const DmcConfig &cfg)
-    : cfg_(cfg),
+    : CompressedController({.installed_bytes = cfg.installed_bytes,
+                            .mdcache = cfg.mdcache,
+                            .metadata_base = kMetadataRegionBase,
+                            .md_hit_latency = cfg.mdcache_hit_latency}),
+      cfg_(cfg),
       hot_codec_(makeCompressor(cfg.hot_compressor)),
-      cold_codec_(makeCompressor(cfg.cold_compressor)),
-      chunks_(cfg.installed_bytes),
-      mdcache_(cfg.mdcache)
+      cold_codec_(makeCompressor(cfg.cold_compressor))
 {
     assert(hot_codec_ && cold_codec_ && "unknown compressor name");
-    mdcache_.setEvictHook([this](PageNum pn, bool dirty) {
-        if (dirty && cur_trace_) {
-            cur_trace_->add(metadataAddr(pn), true, false,
-                            AttribComp::kMdcacheMiss);
-            ++stats_["md_write_ops"];
-            fault_.onWrite(metadataAddr(pn));
-        }
-    });
-}
-
-void
-DmcController::attachObserver(Observer *obs)
-{
-    obs_ = obs;
-    mdcache_.attachObserver(obs);
-    h_line_bytes_ =
-        obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
-                       : nullptr;
-}
-
-Addr
-DmcController::metadataAddr(PageNum pn) const
-{
-    return kMetadataRegionBase + pn * kMetadataEntryBytes;
-}
-
-void
-DmcController::mdAccess(PageNum pn, bool dirty, McTrace &trace)
-{
-    bool hit = mdcache_.access(pn, false, dirty);
-    trace.metadata_hit = hit;
-    trace.addFixed(AttribComp::kMdcacheHit, cfg_.mdcache_hit_latency);
-    if (!hit) {
-        trace.add(metadataAddr(pn), false, true,
-                  AttribComp::kMdcacheMiss);
-        ++st_md_read_ops_;
-        if (fault_.active() &&
-            fault_.onMetaRead(metadataAddr(pn)) ==
-                FaultOutcome::kDetected) {
-            recoverMetadataFault(pn, trace);
-        }
-    }
 }
 
 uint32_t
-DmcController::hotPack(const Page &p) const
+DmcController::hotPack(const DmcPage &p) const
 {
     uint32_t sum = 0;
     for (uint8_t c : p.code)
@@ -77,7 +36,7 @@ DmcController::hotPack(const Page &p) const
 }
 
 uint32_t
-DmcController::hotOffset(const Page &p, LineIdx idx) const
+DmcController::hotOffset(const DmcPage &p, LineIdx idx) const
 {
     uint32_t off = 0;
     for (LineIdx l = 0; l < idx; ++l)
@@ -85,111 +44,8 @@ DmcController::hotOffset(const Page &p, LineIdx idx) const
     return off;
 }
 
-Addr
-DmcController::mpaOf(const Page &p, uint32_t off) const
-{
-    unsigned ci = off / kChunkBytes;
-    assert(ci < p.chunks);
-    Addr scattered = ((Addr(p.chunk_id[ci]) >> 3) * 0x9e3779b1ULL * 8 +
-                      (Addr(p.chunk_id[ci]) & 7)) &
-                     ((1u << 26) - 1);
-    return scattered * kChunkBytes + off % kChunkBytes;
-}
-
 void
-DmcController::storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                          size_t len)
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < p.chunks);
-        std::copy(src, src + n, chunks_.data(p.chunk_id[ci]).begin() + co);
-        src += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-void
-DmcController::loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                         size_t len) const
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < p.chunks);
-        const auto &chunk = chunks_.data(p.chunk_id[ci]);
-        std::copy(chunk.begin() + co, chunk.begin() + co + n, dst);
-        dst += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-unsigned
-DmcController::deviceOps(const Page &p, uint32_t off, size_t len,
-                         bool write, bool critical, McTrace &trace,
-                         AttribComp comp)
-{
-    if (len == 0)
-        return 0;
-    unsigned first = off / kLineBytes;
-    unsigned last = unsigned((off + len - 1) / kLineBytes);
-    for (unsigned b = first; b <= last; ++b) {
-        Addr block = mpaOf(p, b * uint32_t(kLineBytes));
-        // First critical block is the demand word; further critical
-        // blocks are split-access overhead (kDeviceExtra).
-        AttribComp op_comp = critical && b > first
-                                 ? AttribComp::kDeviceExtra
-                                 : comp;
-        trace.add(block, write, critical, op_comp);
-        ++(write ? st_data_write_ops_ : st_data_read_ops_);
-        if (write)
-            fault_.onWrite(block);
-        else if (critical)
-            fault_.onCriticalRead(block);
-    }
-    return last - first + 1;
-}
-
-bool
-DmcController::resizeAlloc(Page &p, unsigned target)
-{
-    assert(target <= kChunksPerPage);
-    while (p.chunks < target) {
-        ChunkNum c = chunks_.allocate();
-        if (c == kNoChunk && pressure_ != nullptr) {
-            // Machine OOM: emergency ballooning (governor), then one
-            // retry; pageBusy() protects the in-flight page and the
-            // epoch-decay migration target.
-            if (pressure_->onMachineOom(busy_page_)) {
-                c = chunks_.allocate();
-                if (c != kNoChunk) {
-                    ++st_oom_rescues_;
-                    CPR_OBS_EVENT(obs_, ObsEvent::kOomRescue, busy_page_,
-                                  1);
-                }
-            }
-        }
-        if (c == kNoChunk) {
-            ++stats_["machine_oom"];
-            return false;
-        }
-        p.chunk_id[p.chunks++] = uint32_t(c);
-    }
-    while (p.chunks > target) {
-        --p.chunks;
-        chunks_.release(p.chunk_id[p.chunks]);
-        p.chunk_id[p.chunks] = kNoChunk;
-    }
-    return true;
-}
-
-void
-DmcController::readHotLine(const Page &p, LineIdx idx, Line &out) const
+DmcController::readHotLine(const DmcPage &p, LineIdx idx, Line &out) const
 {
     if (p.code[idx] == 0) {
         out.fill(0);
@@ -210,7 +66,7 @@ DmcController::readHotLine(const Page &p, LineIdx idx, Line &out) const
 }
 
 void
-DmcController::gather(const Page &p, std::array<Line, kLinesPerPage> &buf,
+DmcController::gather(const DmcPage &p, std::array<Line, kLinesPerPage> &buf,
                       McTrace *trace, AttribComp comp)
 {
     if (!p.valid || p.zero) {
@@ -247,7 +103,7 @@ DmcController::gather(const Page &p, std::array<Line, kLinesPerPage> &buf,
 }
 
 void
-DmcController::layoutHot(Page &p,
+DmcController::layoutHot(DmcPage &p,
                          const std::array<Line, kLinesPerPage> &buf,
                          McTrace &trace, AttribComp comp)
 {
@@ -293,7 +149,7 @@ DmcController::layoutHot(Page &p,
 }
 
 void
-DmcController::demoteToCold(PageNum pn, Page &p, McTrace &trace)
+DmcController::demoteToCold(PageNum pn, DmcPage &p, McTrace &trace)
 {
     CPR_PROF_SCOPE(ProfPhase::kMcRepack);
     size_t ops_before = trace.ops.size();
@@ -341,7 +197,7 @@ DmcController::demoteToCold(PageNum pn, Page &p, McTrace &trace)
 }
 
 void
-DmcController::promoteToHot(PageNum pn, Page &p, McTrace &trace)
+DmcController::promoteToHot(PageNum pn, DmcPage &p, McTrace &trace)
 {
     CPR_PROF_SCOPE(ProfPhase::kMcRepack);
     size_t ops_before = trace.ops.size();
@@ -376,135 +232,58 @@ DmcController::decayEpoch(McTrace &trace)
                 p.touched_this_epoch = false;
                 continue;
             }
-            migrating_page_ = pn;
+            BusyScope migrating(*this, pn);
             demoteToCold(pn, p, trace);
-            migrating_page_ = kNoPage;
             --budget;
         }
         p.touched_this_epoch = false;
     }
 }
 
+uint32_t
+DmcController::rebuildWalkBytes(const DmcPage &p) const
+{
+    if (!p.cold)
+        return hotPack(p);
+    uint32_t used = 0;
+    for (unsigned b = 0; b < kColdBlocks; ++b)
+        used += p.cold_bytes[b];
+    return used;
+}
+
+uint64_t
+DmcController::rebuildEstimate(const DmcPage &p, uint32_t walk) const
+{
+    (void)walk;
+    return uint64_t(p.chunks) * (kChunkBytes / kLineBytes) + 1;
+}
+
 bool
-DmcController::isCold(PageNum pn)
+DmcController::pageRaw(const DmcPage &p) const
 {
-    return page(pn).cold;
+    bool raw = !p.cold;
+    for (LineIdx l = 0; raw && l < kLinesPerPage; ++l)
+        raw = p.code[l] == uint8_t(compressoBins().count() - 1);
+    return raw;
 }
 
 void
-DmcController::recoverMetadataFault(PageNum pn, McTrace &trace)
+DmcController::relayoutRaw(PageNum pn, DmcPage &p, McTrace &trace)
 {
-    Page &p = pages_[pn];
-    FaultInjector *fi = fault_.injector();
-
-    if (!fault_.recoveryEnabled()) {
-        if (p.valid && !fault_.pagePoisoned(pn)) {
-            fault_.poisonPage(pn);
-            ++stats_["fault_pages_poisoned"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kPagePoison));
-        }
-        fi->scrub(metadataAddr(pn));
-        return;
-    }
-
-    // OS-transparent rebuild: like Compresso, the controller re-walks
-    // the page's stored image in hardware to reconstruct the entry —
-    // no OS involvement, only the re-walk traffic. Under a blown
-    // watchdog budget the re-walk is skipped and the page jumps
-    // straight to the raw/hot safe-state rung (bounded worst case).
-    bool throttled =
-        pressure_ != nullptr &&
-        !pressure_->admitOp(PressureOp::kMetaRebuild,
-                            uint64_t(p.chunks) *
-                                    (kChunkBytes / kLineBytes) +
-                                1);
-    if (throttled) {
-        ++stats_["fault_rebuilds_throttled"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, pn,
-                      uint32_t(PressureOp::kMetaRebuild));
-    } else {
-        ++stats_["fault_meta_rebuilds"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                      uint32_t(FaultRung::kMetaRebuild));
-        fi->noteMetaRebuild();
-    }
-    size_t before = trace.ops.size();
-    {
-        FaultHooks::SuppressScope guard(fault_);
-        if (!throttled && p.valid && !p.zero && p.chunks > 0) {
-            uint32_t used;
-            if (p.cold) {
-                used = 0;
-                for (unsigned b = 0; b < kColdBlocks; ++b)
-                    used += p.cold_bytes[b];
-            } else {
-                used = hotPack(p);
-            }
-            deviceOps(p, 0, used, false, false, trace,
-                      AttribComp::kFaultRecovery);
-        }
-        trace.add(metadataAddr(pn), true, false,
-                  AttribComp::kFaultRecovery);
-        ++stats_["md_write_ops"];
-        unsigned rebuilds;
-        if (throttled) {
-            rebuilds = fi->config().max_meta_rebuilds + 1;
-            meta_rebuilds_[pn] = rebuilds;
-        } else {
-            rebuilds = ++meta_rebuilds_[pn];
-        }
-        bool raw_already = !p.cold;
-        for (LineIdx l = 0; raw_already && l < kLinesPerPage; ++l)
-            raw_already = p.code[l] ==
-                          uint8_t(compressoBins().count() - 1);
-        if (rebuilds > fi->config().max_meta_rebuilds && p.valid &&
-            !p.zero && !raw_already) {
-            // Escalate: re-lay the page out raw/hot so slot lookups no
-            // longer depend on the per-line codes or cold block sizes.
-            ++stats_["fault_pages_inflated"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kInflateSafety));
-            fi->notePageInflatedSafety();
-            std::array<Line, kLinesPerPage> buf;
-            gather(p, buf, &trace, AttribComp::kFaultRecovery);
-            p.cold = false;
-            p.cold_bytes.fill(0);
-            for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                p.code[l] = uint8_t(compressoBins().count() - 1);
-            resizeAlloc(p, unsigned(kChunksPerPage));
-            for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                storeBytes(p, hotOffset(p, l), buf[l].data(),
-                           kLineBytes);
-            deviceOps(p, 0, kPageBytes, true, false, trace,
-                      AttribComp::kFaultRecovery);
-            meta_rebuilds_.erase(pn);
-        }
-    }
-    fi->scrub(metadataAddr(pn));
-    uint64_t ops = trace.ops.size() - before;
-    fi->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
-    if (pressure_ != nullptr)
-        pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
-}
-
-void
-DmcController::poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                               size_t len, McTrace &trace)
-{
-    fault_.poisonLine(ospa_line);
-    ++stats_["fault_lines_poisoned"];
-    CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pageOf(ospa_line),
-                  uint32_t(FaultRung::kLinePoison));
-    size_t before = trace.ops.size();
-    deviceOps(p, off, len, false, false, trace,
-              AttribComp::kFaultRecovery); // retry read
-    deviceOps(p, off, len, true, false, trace,
-              AttribComp::kFaultRecovery); // poison rewrite
-    uint64_t ops = trace.ops.size() - before;
-    fault_.injector()->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
+    // Slot lookups stop depending on the per-line codes or cold block
+    // sizes.
+    (void)pn;
+    std::array<Line, kLinesPerPage> buf;
+    gather(p, buf, &trace, AttribComp::kFaultRecovery);
+    p.cold = false;
+    p.cold_bytes.fill(0);
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        p.code[l] = uint8_t(compressoBins().count() - 1);
+    resizeAlloc(p, unsigned(kChunksPerPage));
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        storeBytes(p, hotOffset(p, l), buf[l].data(), kLineBytes);
+    deviceOps(p, 0, kPageBytes, true, false, trace,
+              AttribComp::kFaultRecovery);
 }
 
 void
@@ -513,26 +292,19 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcFill);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    OpScope op(*this, pn, trace);
     ++st_fills_;
 
-    Page &p = page(pn);
+    DmcPage &p = pages_[pn];
     mdAccess(pn, false, trace);
     p.touched_this_epoch = true;
 
-    if (fault_.active() && (fault_.pagePoisoned(pn) ||
-                            fault_.linePoisoned(lineAddr(addr)))) {
-        data.fill(0);
-        ++st_fault_poison_fills_;
-        cur_trace_ = nullptr;
+    if (servePoisoned(pn, addr, data))
         return;
-    }
 
     if (!p.valid || p.zero) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -545,13 +317,8 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
         deviceOps(p, off, p.cold_bytes[b], false, true, trace);
         trace.addFixed(AttribComp::kDecompress, cfg_.cold_latency);
         ++st_cold_block_reads_;
-        if (fault_.takePending() == FaultOutcome::kDetected) {
-            poisonDataFault(lineAddr(addr), p, off, p.cold_bytes[b],
-                            trace);
-            data.fill(0);
-            cur_trace_ = nullptr;
+        if (dataFaultPoisoned(addr, p, off, p.cold_bytes[b], data, trace))
             return;
-        }
 
         std::vector<uint8_t> raw(p.cold_bytes[b]);
         loadBytes(p, off, raw.data(), raw.size());
@@ -563,14 +330,12 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
             (void)ok;
         }
         data = tmp;
-        cur_trace_ = nullptr;
         return;
     }
 
     if (p.code[idx] == 0) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
     uint16_t sz = compressoBins().binSize(p.code[idx]);
@@ -578,22 +343,13 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
     // Offset adder, folded into the metadata component like
     // Compresso's offset circuit (DESIGN.md §15).
     trace.addFixed(AttribComp::kMdcacheHit, 1);
-    unsigned blocks = deviceOps(p, off, sz, false, true, trace);
-    if (blocks > 1) {
-        ++st_split_fill_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, pn, blocks);
-    }
-    if (fault_.takePending() == FaultOutcome::kDetected) {
-        poisonDataFault(lineAddr(addr), p, off, sz, trace);
-        data.fill(0);
-        cur_trace_ = nullptr;
+    noteSplit(st_split_fill_lines_, pn,
+              deviceOps(p, off, sz, false, true, trace));
+    if (dataFaultPoisoned(addr, p, off, sz, data, trace))
         return;
-    }
     readHotLine(p, idx, data);
     if (sz != kLineBytes)
         trace.addFixed(AttribComp::kDecompress, cfg_.hot_latency);
-    cur_trace_ = nullptr;
 }
 
 void
@@ -602,22 +358,15 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcWriteback);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    OpScope op(*this, pn, trace);
     ++st_writebacks_;
 
-    Page &p = page(pn);
+    DmcPage &p = pages_[pn];
     mdAccess(pn, true, trace);
     p.touched_this_epoch = true;
 
-    if (fault_.active()) {
-        if (fault_.pagePoisoned(pn)) {
-            ++st_fault_dropped_wbs_;
-            cur_trace_ = nullptr;
-            return;
-        }
-        fault_.clearLinePoison(lineAddr(addr));
-    }
+    if (dropPoisonedWriteback(pn, addr))
+        return;
 
     bool zero = isZeroLine(data);
     if (!p.valid) {
@@ -628,7 +377,6 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     if (p.zero) {
         if (zero) {
             ++st_zero_wbs_;
-            cur_trace_ = nullptr;
             return;
         }
         p.zero = false;
@@ -681,51 +429,6 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         epoch_wbs_ = 0;
         decayEpoch(trace);
     }
-    cur_trace_ = nullptr;
-}
-
-uint64_t
-DmcController::ospaBytes() const
-{
-    uint64_t n = 0;
-    for (const auto &[pn, p] : pages_)
-        n += p.valid ? kPageBytes : 0;
-    return n;
-}
-
-uint64_t
-DmcController::mpaDataBytes() const
-{
-    return chunks_.usedBytes();
-}
-
-uint64_t
-DmcController::mpaMetadataBytes() const
-{
-    uint64_t valid = 0;
-    for (const auto &[pn, p] : pages_)
-        valid += p.valid ? 1 : 0;
-    return valid * kMetadataEntryBytes;
-}
-
-void
-DmcController::freePage(PageNum pn)
-{
-    auto it = pages_.find(pn);
-    if (it == pages_.end() || !it->second.valid)
-        return;
-    resizeAlloc(it->second, 0);
-    it->second = Page{};
-    mdcache_.invalidate(pn);
-    fault_.clearPagePoison(pn);
-    meta_rebuilds_.erase(pn);
-    ++stats_["pages_freed"];
-}
-
-AuditReport
-DmcController::audit() const
-{
-    return InvariantAuditor::auditChunkMap(pages_, chunks_);
 }
 
 } // namespace compresso

@@ -25,17 +25,11 @@
 #define COMPRESSO_CORE_DMC_CONTROLLER_H
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_allocator.h"
-#include "core/memory_controller.h"
-#include "core/pressure_hooks.h"
-#include "fault/fault_hooks.h"
-#include "meta/metadata_cache.h"
-#include "obs/observer.h"
+#include "core/compressed_controller.h"
 
 namespace compresso {
 
@@ -53,7 +47,27 @@ struct DmcConfig
     Cycle mdcache_hit_latency = 2;
 };
 
-class DmcController : public MemoryController
+/** Per-page DMC state: hot line codes or cold 1 KB block sizes. */
+struct DmcPage
+{
+    /** 1 KB cold-compression granularity: 4 blocks per page. */
+    static constexpr unsigned kColdBlocks = 4;
+
+    bool valid = false;
+    bool zero = false;
+    bool cold = false;
+    bool touched_this_epoch = true;
+    std::array<uint8_t, kLinesPerPage> code{}; ///< hot: bin per line
+    /** Cold representation: per-1KB-block compressed byte counts
+     *  (the blocks are stored back to back). */
+    std::array<uint32_t, kColdBlocks> cold_bytes{};
+    uint8_t chunks = 0;
+    std::array<uint32_t, kChunksPerPage> mpfn;
+
+    DmcPage() { mpfn.fill(kNoChunk); }
+};
+
+class DmcController : public CompressedController<DmcPage>
 {
   public:
     explicit DmcController(const DmcConfig &cfg);
@@ -64,171 +78,52 @@ class DmcController : public MemoryController
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override;
-    uint64_t mpaDataBytes() const override;
-    uint64_t mpaMetadataBytes() const override;
-
-    void freePage(PageNum page) override;
-
-    /** Fault wiring: OS-transparent degradation like Compresso — a
-     *  detected metadata fault triggers a hardware re-walk (bounded,
-     *  escalating to a raw hot re-layout); data DUEs poison the
-     *  line. */
-    void attachFaultInjector(FaultInjector *fi) override
-    {
-        fault_.attach(fi);
-    }
-
-    /** Observability: events (split access, line overflow, page
-     *  overflow = migration, fault-recovery rungs) and the
-     *  compressed-line-size histogram (null detaches). */
-    void attachObserver(Observer *obs) override;
-
-    /** Pressure wiring (core/pressure_hooks.h): machine-OOM rescue,
-     *  admission throttling of epoch cold-demotions (maintenance),
-     *  and stall-cost reporting on hot/cold migrations. */
-    void attachPressureListener(PressureListener *pl) override
-    {
-        pressure_ = pl;
-    }
-
-    /** Machine bytes backing @p pn (0 for untouched/zero pages);
-     *  governor reclaim-ranking input. */
-    uint64_t pageCompressedBytes(PageNum pn) const override
-    {
-        auto it = pages_.find(pn);
-        if (it == pages_.end() || !it->second.valid)
-            return 0;
-        return uint64_t(it->second.chunks) * kChunkBytes;
-    }
-
-    /** Pages with live references on the call stack (the op's page
-     *  plus the epoch-decay migration target) must not be reclaimed. */
-    bool pageBusy(PageNum pn) const override
-    {
-        return (cur_trace_ != nullptr && pn == busy_page_) ||
-               pn == migrating_page_;
-    }
-
-    /** Chunk-map invariant audit (src/check): every valid page's
-     *  chunks live and exclusively owned, free list complementary. */
-    AuditReport audit() const override;
-
-    StatGroup &stats() override { return stats_; }
-    const StatGroup &stats() const override { return stats_; }
-
-    /** 1 KB cold-compression granularity: 4 blocks per page. */
-    static constexpr unsigned kColdBlocks = 4;
+    static constexpr unsigned kColdBlocks = DmcPage::kColdBlocks;
     static constexpr unsigned kLinesPerColdBlock =
         kLinesPerPage / kColdBlocks;
 
     /** True if @p page is currently in the cold representation. */
-    bool isCold(PageNum page);
+    bool isCold(PageNum page) { return pages_[page].cold; }
 
   private:
-    struct Page
-    {
-        bool valid = false;
-        bool zero = false;
-        bool cold = false;
-        bool touched_this_epoch = true;
-        std::array<uint8_t, kLinesPerPage> code{}; ///< hot: bin per line
-        /** Cold representation: per-1KB-block compressed byte counts
-         *  (the blocks are stored back to back). */
-        std::array<uint32_t, kColdBlocks> cold_bytes{};
-        uint8_t chunks = 0;
-        std::array<uint32_t, kChunksPerPage> chunk_id;
+    uint32_t hotOffset(const DmcPage &p, LineIdx idx) const;
+    uint32_t hotPack(const DmcPage &p) const;
 
-        Page() { chunk_id.fill(kNoChunk); }
-    };
-
-    Page &page(PageNum pn) { return pages_[pn]; }
-    Addr metadataAddr(PageNum pn) const;
-    void mdAccess(PageNum pn, bool dirty, McTrace &trace);
-
-    uint32_t hotOffset(const Page &p, LineIdx idx) const;
-    uint32_t hotPack(const Page &p) const;
-    uint32_t allocBytes(const Page &p) const
-    {
-        return uint32_t(p.chunks) * uint32_t(kChunkBytes);
-    }
-
-    Addr mpaOf(const Page &p, uint32_t off) const;
-    void storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                    size_t len);
-    void loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                   size_t len) const;
-    unsigned deviceOps(const Page &p, uint32_t off, size_t len,
-                       bool write, bool critical, McTrace &trace,
-                       AttribComp comp = AttribComp::kDeviceData);
-    bool resizeAlloc(Page &p, unsigned chunks);
-
-    void readHotLine(const Page &p, LineIdx idx, Line &out) const;
+    void readHotLine(const DmcPage &p, LineIdx idx, Line &out) const;
     /** Rewrite the page in hot representation with the given data. */
-    void layoutHot(Page &p, const std::array<Line, kLinesPerPage> &buf,
+    void layoutHot(DmcPage &p, const std::array<Line, kLinesPerPage> &buf,
                    McTrace &trace,
                    AttribComp comp = AttribComp::kRepack);
     /** Gather the page's current content (either representation). */
-    void gather(const Page &p, std::array<Line, kLinesPerPage> &buf,
+    void gather(const DmcPage &p, std::array<Line, kLinesPerPage> &buf,
                 McTrace *trace,
                 AttribComp comp = AttribComp::kRepack);
 
-    void demoteToCold(PageNum pn, Page &p, McTrace &trace);
-    void promoteToHot(PageNum pn, Page &p, McTrace &trace);
+    void demoteToCold(PageNum pn, DmcPage &p, McTrace &trace);
+    void promoteToHot(PageNum pn, DmcPage &p, McTrace &trace);
     void decayEpoch(McTrace &trace);
 
-    // --- fault handling ---
-    /** Detected metadata fault: hardware re-walks the page's stored
-     *  image to rebuild the entry (bounded); after max_meta_rebuilds,
-     *  re-lay the page out raw/hot so slot lookups no longer depend on
-     *  the entry. Without recovery, retire the page. */
-    void recoverMetadataFault(PageNum pn, McTrace &trace);
-    /** Data DUE on a demand fill: poison the line, charge retry +
-     *  poison-pattern rewrite (which scrubs the blocks). */
-    void poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                         size_t len, McTrace &trace);
+    // --- fault ladder hooks: like Compresso, the hardware re-walks the
+    // page's stored image; the safe state is the raw hot layout ---
+    uint32_t rebuildWalkBytes(const DmcPage &p) const override;
+    uint64_t rebuildEstimate(const DmcPage &p,
+                             uint32_t walk) const override;
+    bool pageRaw(const DmcPage &p) const override;
+    void relayoutRaw(PageNum pn, DmcPage &p, McTrace &trace) override;
 
     DmcConfig cfg_;
     std::unique_ptr<Compressor> hot_codec_;
     std::unique_ptr<Compressor> cold_codec_;
-    ChunkAllocator chunks_;
-    MetadataCache mdcache_;
-    std::unordered_map<PageNum, Page> pages_;
     uint64_t epoch_wbs_ = 0;
-    McTrace *cur_trace_ = nullptr;
 
-    FaultHooks fault_;
-    std::unordered_map<PageNum, unsigned> meta_rebuilds_;
-
-    StatGroup stats_{"mc"};
     // Cached hot-path counter handles (stable across reset()).
-    uint64_t &st_fills_ = stats_.stat("fills");
-    uint64_t &st_writebacks_ = stats_.stat("writebacks");
-    uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
-    uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_data_read_ops_ = stats_.stat("data_read_ops");
-    uint64_t &st_data_write_ops_ = stats_.stat("data_write_ops");
-    uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
-    uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
-    uint64_t &st_split_extra_ops_ = stats_.stat("split_extra_ops");
     uint64_t &st_migration_ops_ = stats_.stat("migration_ops");
     uint64_t &st_demotions_ = stats_.stat("demotions");
     uint64_t &st_promotions_ = stats_.stat("promotions");
-    uint64_t &st_fault_poison_fills_ = stats_.stat("fault_poison_fills");
     uint64_t &st_cold_block_reads_ = stats_.stat("cold_block_reads");
-    uint64_t &st_fault_dropped_wbs_ = stats_.stat("fault_dropped_wbs");
     uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
-    uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
-    uint64_t &st_oom_rescues_ = stats_.stat("oom_rescues");
     uint64_t &st_demotions_throttled_ =
         stats_.stat("demotions_throttled");
-
-    PressureListener *pressure_ = nullptr;
-    PageNum busy_page_ = kNoPage;      ///< valid while cur_trace_ set
-    PageNum migrating_page_ = kNoPage; ///< epoch-decay demotion target
-
-    Observer *obs_ = nullptr;
-    Histogram *h_line_bytes_ = nullptr; ///< owned by the Observer
 };
 
 } // namespace compresso

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "check/invariant_auditor.h"
 #include "prof/profiler.h"
 
 namespace compresso {
@@ -18,59 +17,23 @@ constexpr uint32_t kMaxExceptionPtrs = 17;
 } // namespace
 
 LcpController::LcpController(const LcpConfig &cfg)
-    : cfg_(cfg),
+    : CompressedController({.installed_bytes = cfg.installed_bytes,
+                            .mdcache = cfg.mdcache,
+                            .metadata_base = kMetadataRegionBase,
+                            .md_hit_latency = cfg.mdcache_hit_latency,
+                            .stream_buffer_blocks =
+                                cfg.stream_buffer ? cfg.stream_buffer_blocks
+                                                  : 0}),
+      cfg_(cfg),
       bins_(cfg.alignment_friendly ? &compressoBins() : &legacyBins()),
-      codec_(makeCompressor(cfg.compressor)),
-      chunks_(cfg.installed_bytes),
-      mdcache_(cfg.mdcache)
+      codec_(makeCompressor(cfg.compressor))
 {
     assert(codec_ && "unknown compressor name");
-    mdcache_.setEvictHook([this](PageNum pn, bool dirty) {
-        if (dirty && cur_trace_) {
-            cur_trace_->add(metadataAddr(pn), true, false,
-                            AttribComp::kMdcacheMiss);
-            ++stats_["md_write_ops"];
-            fault_.onWrite(metadataAddr(pn));
-        }
-    });
-}
-
-void
-LcpController::attachObserver(Observer *obs)
-{
-    obs_ = obs;
-    mdcache_.attachObserver(obs);
-    h_line_bytes_ =
-        obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
-                       : nullptr;
-}
-
-Addr
-LcpController::metadataAddr(PageNum pn) const
-{
-    return kMetadataRegionBase + pn * kMetadataEntryBytes;
-}
-
-void
-LcpController::mdAccess(PageNum pn, bool dirty, McTrace &trace)
-{
-    bool hit = mdcache_.access(pn, false, dirty);
-    trace.metadata_hit = hit;
-    trace.addFixed(AttribComp::kMdcacheHit, cfg_.mdcache_hit_latency);
-    if (!hit) {
-        trace.add(metadataAddr(pn), false, true,
-                  AttribComp::kMdcacheMiss);
-        ++st_md_read_ops_;
-        if (fault_.active() &&
-            fault_.onMetaRead(metadataAddr(pn)) ==
-                FaultOutcome::kDetected) {
-            recoverMetadataFault(pn, trace);
-        }
-    }
+    stats_.stat("prefetch_hits"); // exported even with no stream buffer
 }
 
 uint32_t
-LcpController::excCapacity(const Page &p) const
+LcpController::excCapacity(const LcpPage &p) const
 {
     uint32_t slots_end = uint32_t(kLinesPerPage) * p.target;
     uint32_t alloc = allocBytes(p);
@@ -80,125 +43,6 @@ LcpController::excCapacity(const Page &p) const
     // beyond it, an overflow is a page fault (OS relayout).
     return std::min<uint32_t>((alloc - slots_end) / uint32_t(kLineBytes),
                               kMaxExceptionPtrs);
-}
-
-Addr
-LcpController::mpaOf(const Page &p, uint32_t off) const
-{
-    unsigned ci = off / kChunkBytes;
-    assert(ci < p.chunks);
-    // Same chunk scattering as the Compresso controller (see there):
-    // avoids overstating compressed-side DRAM row locality.
-    Addr scattered =
-        ((Addr(p.chunk_id[ci]) >> 3) * 0x9e3779b1ULL * 8 + (Addr(p.chunk_id[ci]) & 7)) &
-        ((1u << 26) - 1);
-    return scattered * kChunkBytes + off % kChunkBytes;
-}
-
-void
-LcpController::storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                          size_t len)
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        std::copy(src, src + n, chunks_.data(p.chunk_id[ci]).begin() + co);
-        src += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-void
-LcpController::loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                         size_t len) const
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        const auto &chunk = chunks_.data(p.chunk_id[ci]);
-        std::copy(chunk.begin() + co, chunk.begin() + co + n, dst);
-        dst += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-unsigned
-LcpController::deviceOps(const Page &p, uint32_t off, size_t len,
-                         bool write, bool critical, McTrace &trace,
-                         AttribComp comp)
-{
-    if (len == 0)
-        return 0;
-    unsigned first = off / kLineBytes;
-    unsigned last = unsigned((off + len - 1) / kLineBytes);
-    unsigned issued = 0;
-    for (unsigned b = first; b <= last; ++b) {
-        Addr block = mpaOf(p, b * uint32_t(kLineBytes));
-        // First critical block is the demand word; further critical
-        // blocks are split-access overhead (kDeviceExtra).
-        AttribComp op_comp = critical && issued > 0
-                                 ? AttribComp::kDeviceExtra
-                                 : comp;
-        if (write) {
-            streamBufferInvalidate(block);
-            trace.add(block, true, critical, op_comp);
-            ++issued;
-            ++st_data_write_ops_;
-            fault_.onWrite(block);
-        } else {
-            if (critical && cfg_.stream_buffer && streamBufferHit(block)) {
-                ++st_prefetch_hits_;
-                continue;
-            }
-            trace.add(block, false, critical, op_comp);
-            ++issued;
-            ++st_data_read_ops_;
-            // Demand-critical reads are the architecturally exposed
-            // ones; background traffic rewrites and scrubs.
-            if (critical)
-                fault_.onCriticalRead(block);
-            if (critical && cfg_.stream_buffer)
-                streamBufferInsert(block);
-        }
-    }
-    return last - first + 1;
-}
-
-bool
-LcpController::resizeAlloc(Page &p, unsigned target)
-{
-    assert(target <= kChunksPerPage);
-    while (p.chunks < target) {
-        ChunkNum c = chunks_.allocate();
-        if (c == kNoChunk && pressure_ != nullptr) {
-            // Machine OOM: emergency ballooning (governor), then one
-            // retry. pageBusy() keeps the reclaim off the page whose
-            // operation is in flight.
-            if (pressure_->onMachineOom(busy_page_)) {
-                c = chunks_.allocate();
-                if (c != kNoChunk) {
-                    ++st_oom_rescues_;
-                    CPR_OBS_EVENT(obs_, ObsEvent::kOomRescue, busy_page_,
-                                  1);
-                }
-            }
-        }
-        if (c == kNoChunk) {
-            ++stats_["machine_oom"];
-            return false;
-        }
-        p.chunk_id[p.chunks++] = uint32_t(c);
-    }
-    while (p.chunks > target) {
-        --p.chunks;
-        chunks_.release(p.chunk_id[p.chunks]);
-        p.chunk_id[p.chunks] = kNoChunk;
-    }
-    return true;
 }
 
 LcpController::Encoded
@@ -213,7 +57,7 @@ LcpController::encodeLine(const Line &data) const
 }
 
 void
-LcpController::readStored(const Page &p, LineIdx idx, Line &out) const
+LcpController::readStored(const LcpPage &p, LineIdx idx, Line &out) const
 {
     if (!p.valid || p.zero || p.zero_line[idx]) {
         out.fill(0);
@@ -236,7 +80,7 @@ LcpController::readStored(const Page &p, LineIdx idx, Line &out) const
 }
 
 void
-LcpController::initialAllocate(Page &p, const Encoded &enc)
+LcpController::initialAllocate(LcpPage &p, const Encoded &enc)
 {
     // Smallest candidate target that fits this first line.
     uint16_t target = uint16_t(kLineBytes);
@@ -260,7 +104,7 @@ LcpController::initialAllocate(Page &p, const Encoded &enc)
 }
 
 void
-LcpController::writeStored(PageNum pn, Page &p, LineIdx idx,
+LcpController::writeStored(PageNum pn, LcpPage &p, LineIdx idx,
                            const Line &raw, const Encoded &enc,
                            McTrace &trace)
 {
@@ -272,17 +116,13 @@ LcpController::writeStored(PageNum pn, Page &p, LineIdx idx,
         return;
     }
     size_t len = std::max<size_t>(enc.bytes.size(), 1);
-    unsigned blocks = deviceOps(p, off, len, true, false, trace);
-    if (blocks > 1) {
-        ++st_split_wb_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, pn, blocks);
-    }
+    noteSplit(st_split_wb_lines_, pn,
+              deviceOps(p, off, len, true, false, trace));
     storeBytes(p, off, enc.bytes.data(), enc.bytes.size());
 }
 
 void
-LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
+LcpController::pageOverflow(PageNum pn, LcpPage &p, LineIdx idx,
                             const Line &raw, const Encoded &enc,
                             McTrace &trace)
 {
@@ -303,13 +143,11 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
         }
     }
     ++st_page_overflows_;
-    ++st_page_faults_;
     CPR_OBS_EVENT(obs_, ObsEvent::kPageOverflow, pn, 0);
     CPR_OBS_EVENT(obs_, ObsEvent::kPageFault, pn,
                   uint32_t(cfg_.page_fault_cycles));
     // OS-aware: the overflow raises a page fault; the core stalls.
-    st_page_fault_cycles_ += cfg_.page_fault_cycles;
-    trace.addStall(AttribComp::kOsFault, cfg_.page_fault_cycles);
+    osFaultStall(trace);
     // Governor-denied relocations still relocate (to the raw layout);
     // their traffic is charged to the pressure component.
     AttribComp relayout_comp = escalate_raw
@@ -388,106 +226,32 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
 }
 
 void
-LcpController::recoverMetadataFault(PageNum pn, McTrace &trace)
+LcpController::osFaultStall(McTrace &trace)
 {
-    Page &p = pages_[pn];
-    FaultInjector *fi = fault_.injector();
-
-    if (!fault_.recoveryEnabled()) {
-        if (p.valid && !fault_.pagePoisoned(pn)) {
-            fault_.poisonPage(pn);
-            ++stats_["fault_pages_poisoned"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kPagePoison));
-        }
-        fi->scrub(metadataAddr(pn));
-        return;
-    }
-
-    // OS-aware rebuild: the DUE traps to the OS, which reconstructs
-    // the entry from its own page tables and rewrites it (a page
-    // fault's worth of stall, unlike Compresso's hardware re-walk).
-    // A blown rebuild budget (watchdog) skips the re-walk and takes
-    // the uncompressed-re-layout rung directly.
-    bool throttled = pressure_ != nullptr &&
-                     !pressure_->admitOp(PressureOp::kMetaRebuild, 1);
-    if (throttled) {
-        ++stats_["fault_rebuilds_throttled"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, pn,
-                      uint32_t(PressureOp::kMetaRebuild));
-    } else {
-        ++stats_["fault_meta_rebuilds"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                      uint32_t(FaultRung::kMetaRebuild));
-        fi->noteMetaRebuild();
-    }
     ++st_page_faults_;
     st_page_fault_cycles_ += cfg_.page_fault_cycles;
     trace.addStall(AttribComp::kOsFault, cfg_.page_fault_cycles);
-    size_t before = trace.ops.size();
-    {
-        FaultHooks::SuppressScope guard(fault_);
-        trace.add(metadataAddr(pn), true, false,
-                  AttribComp::kFaultRecovery);
-        ++stats_["md_write_ops"];
-        unsigned rebuilds;
-        if (throttled) {
-            rebuilds = fi->config().max_meta_rebuilds + 1;
-            meta_rebuilds_[pn] = rebuilds;
-        } else {
-            rebuilds = ++meta_rebuilds_[pn];
-        }
-        if (rebuilds > fi->config().max_meta_rebuilds && p.valid &&
-            !p.zero && p.target != kLineBytes) {
-            // Escalate: the OS re-lays the page out uncompressed, so
-            // later slot lookups no longer depend on the entry.
-            ++stats_["fault_pages_inflated"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kInflateSafety));
-            fi->notePageInflatedSafety();
-            std::array<Line, kLinesPerPage> buf;
-            for (LineIdx i = 0; i < kLinesPerPage; ++i)
-                readStored(p, i, buf[i]);
-            deviceOps(p, 0, allocBytes(p), false, false, trace,
-                      AttribComp::kFaultRecovery);
-            resizeAlloc(p, unsigned(kChunksPerPage));
-            p.target = uint16_t(kLineBytes);
-            p.exc_slot.fill(0xff);
-            p.exc_map.reset();
-            for (LineIdx i = 0; i < kLinesPerPage; ++i) {
-                if (!p.zero_line[i])
-                    storeBytes(p, slotOffset(p, i), buf[i].data(),
-                               kLineBytes);
-            }
-            deviceOps(p, 0, kPageBytes, true, false, trace,
-                      AttribComp::kFaultRecovery);
-            meta_rebuilds_.erase(pn);
-        }
-    }
-    fi->scrub(metadataAddr(pn));
-    uint64_t ops = trace.ops.size() - before;
-    fi->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
-    if (pressure_ != nullptr)
-        pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
 }
 
 void
-LcpController::poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                               size_t len, McTrace &trace)
+LcpController::relayoutRaw(PageNum pn, LcpPage &p, McTrace &trace)
 {
-    fault_.poisonLine(ospa_line);
-    ++stats_["fault_lines_poisoned"];
-    CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pageOf(ospa_line),
-                  uint32_t(FaultRung::kLinePoison));
-    size_t before = trace.ops.size();
-    deviceOps(p, off, len, false, false, trace,
-              AttribComp::kFaultRecovery); // retry read
-    deviceOps(p, off, len, true, false, trace,
-              AttribComp::kFaultRecovery); // poison rewrite
-    uint64_t ops = trace.ops.size() - before;
-    fault_.injector()->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
+    (void)pn;
+    std::array<Line, kLinesPerPage> buf;
+    for (LineIdx i = 0; i < kLinesPerPage; ++i)
+        readStored(p, i, buf[i]);
+    deviceOps(p, 0, allocBytes(p), false, false, trace,
+              AttribComp::kFaultRecovery);
+    resizeAlloc(p, unsigned(kChunksPerPage));
+    p.target = uint16_t(kLineBytes);
+    p.exc_slot.fill(0xff);
+    p.exc_map.reset();
+    for (LineIdx i = 0; i < kLinesPerPage; ++i) {
+        if (!p.zero_line[i])
+            storeBytes(p, slotOffset(p, i), buf[i].data(), kLineBytes);
+    }
+    deviceOps(p, 0, kPageBytes, true, false, trace,
+              AttribComp::kFaultRecovery);
 }
 
 void
@@ -496,25 +260,18 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcFill);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    OpScope op(*this, pn, trace);
     ++st_fills_;
 
-    Page &p = page(pn);
+    LcpPage &p = pages_[pn];
     mdAccess(pn, false, trace);
 
-    if (fault_.active() && (fault_.pagePoisoned(pn) ||
-                            fault_.linePoisoned(lineAddr(addr)))) {
-        data.fill(0);
-        ++st_fault_poison_fills_;
-        cur_trace_ = nullptr;
+    if (servePoisoned(pn, addr, data))
         return;
-    }
 
     if (!p.valid || p.zero || p.zero_line[idx]) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -523,38 +280,23 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
     trace.speculative_parallel = cfg_.speculative_access;
     uint32_t off = slotOffset(p, idx);
     unsigned blocks = deviceOps(p, off, p.target, false, true, trace);
-    if (blocks > 1) {
-        ++st_split_fill_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, pn, blocks);
-    }
+    noteSplit(st_split_fill_lines_, pn, blocks);
 
     if (p.exc_slot[idx] != 0xff) {
         // Speculation failed: serialized exception access.
         ++st_exception_accesses_;
         st_exception_extra_ops_ += blocks; // the wasted slot read
-        deviceOps(p, excOffset(p, p.exc_slot[idx]), kLineBytes, false,
-                  true, trace, AttribComp::kDeviceExtra);
-        if (fault_.takePending() == FaultOutcome::kDetected) {
-            poisonDataFault(lineAddr(addr), p,
-                            excOffset(p, p.exc_slot[idx]), kLineBytes,
-                            trace);
-            data.fill(0);
-            cur_trace_ = nullptr;
+        uint32_t exc = excOffset(p, p.exc_slot[idx]);
+        deviceOps(p, exc, kLineBytes, false, true, trace,
+                  AttribComp::kDeviceExtra);
+        if (dataFaultPoisoned(addr, p, exc, kLineBytes, data, trace))
             return;
-        }
-        loadBytes(p, excOffset(p, p.exc_slot[idx]), data.data(),
-                  kLineBytes);
-        cur_trace_ = nullptr;
+        loadBytes(p, exc, data.data(), kLineBytes);
         return;
     }
 
-    if (fault_.takePending() == FaultOutcome::kDetected) {
-        poisonDataFault(lineAddr(addr), p, off, p.target, trace);
-        data.fill(0);
-        cur_trace_ = nullptr;
+    if (dataFaultPoisoned(addr, p, off, p.target, data, trace))
         return;
-    }
     readStored(p, idx, data);
     if (p.target != kLineBytes)
         trace.addFixed(AttribComp::kDecompress, cfg_.compression_latency);
@@ -578,7 +320,6 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
         }
         st_co_fetched_lines_ += trace.co_fetched.size();
     }
-    cur_trace_ = nullptr;
 }
 
 void
@@ -587,21 +328,14 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcWriteback);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    OpScope op(*this, pn, trace);
     ++st_writebacks_;
 
-    Page &p = page(pn);
+    LcpPage &p = pages_[pn];
     mdAccess(pn, true, trace);
 
-    if (fault_.active()) {
-        if (fault_.pagePoisoned(pn)) {
-            ++st_fault_dropped_wbs_;
-            cur_trace_ = nullptr;
-            return;
-        }
-        fault_.clearLinePoison(lineAddr(addr));
-    }
+    if (dropPoisonedWriteback(pn, addr))
+        return;
 
     Encoded enc = encodeLine(data);
     CPR_OBS_HIST(h_line_bytes_, enc.zero ? 0 : enc.bytes.size());
@@ -615,7 +349,6 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     if (p.zero) {
         if (enc.zero) {
             ++st_zero_wbs_;
-            cur_trace_ = nullptr;
             return;
         }
         initialAllocate(p, enc);
@@ -632,7 +365,6 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         }
         p.zero_line[idx] = true;
         ++st_zero_wbs_;
-        cur_trace_ = nullptr;
         return;
     }
     p.zero_line[idx] = false;
@@ -644,7 +376,6 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
             p.exc_slot[idx] = 0xff; // back into its slot
         }
         writeStored(pn, p, idx, data, enc, trace);
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -655,7 +386,6 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         uint32_t off = excOffset(p, p.exc_slot[idx]);
         deviceOps(p, off, kLineBytes, true, false, trace);
         storeBytes(p, off, data.data(), kLineBytes);
-        cur_trace_ = nullptr;
         return;
     }
     unsigned cap = excCapacity(p);
@@ -674,79 +404,10 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
                   AttribComp::kOverflowRelayout);
         storeBytes(p, off, data.data(), kLineBytes);
         ++st_ir_placements_;
-        cur_trace_ = nullptr;
         return;
     }
 
     pageOverflow(pn, p, idx, data, enc, trace);
-    cur_trace_ = nullptr;
-}
-
-uint64_t
-LcpController::ospaBytes() const
-{
-    uint64_t n = 0;
-    for (const auto &[pn, p] : pages_)
-        n += p.valid ? kPageBytes : 0;
-    return n;
-}
-
-uint64_t
-LcpController::mpaDataBytes() const
-{
-    return chunks_.usedBytes();
-}
-
-uint64_t
-LcpController::mpaMetadataBytes() const
-{
-    uint64_t valid = 0;
-    for (const auto &[pn, p] : pages_)
-        valid += p.valid ? 1 : 0;
-    return valid * kMetadataEntryBytes;
-}
-
-void
-LcpController::freePage(PageNum pn)
-{
-    auto it = pages_.find(pn);
-    if (it == pages_.end() || !it->second.valid)
-        return;
-    resizeAlloc(it->second, 0);
-    it->second = Page{};
-    mdcache_.invalidate(pn);
-    fault_.clearPagePoison(pn);
-    meta_rebuilds_.erase(pn);
-    ++stats_["pages_freed"];
-}
-
-AuditReport
-LcpController::audit() const
-{
-    return InvariantAuditor::auditChunkMap(pages_, chunks_);
-}
-
-bool
-LcpController::streamBufferHit(Addr block) const
-{
-    return std::find(stream_buf_.begin(), stream_buf_.end(), block) !=
-           stream_buf_.end();
-}
-
-void
-LcpController::streamBufferInsert(Addr block)
-{
-    stream_buf_.push_back(block);
-    while (stream_buf_.size() > cfg_.stream_buffer_blocks)
-        stream_buf_.pop_front();
-}
-
-void
-LcpController::streamBufferInvalidate(Addr block)
-{
-    auto it = std::find(stream_buf_.begin(), stream_buf_.end(), block);
-    if (it != stream_buf_.end())
-        stream_buf_.erase(it);
 }
 
 } // namespace compresso

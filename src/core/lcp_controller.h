@@ -25,18 +25,11 @@
 #define COMPRESSO_CORE_LCP_CONTROLLER_H
 
 #include <bitset>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_allocator.h"
-#include "core/memory_controller.h"
-#include "core/pressure_hooks.h"
-#include "fault/fault_hooks.h"
-#include "meta/metadata_cache.h"
-#include "obs/observer.h"
+#include "core/compressed_controller.h"
 #include "packing/lcp.h"
 
 namespace compresso {
@@ -59,7 +52,29 @@ struct LcpConfig
     Cycle page_fault_cycles = 9000;
 };
 
-class LcpController : public MemoryController
+/** Per-page LCP metadata (functional form). */
+struct LcpPage
+{
+    bool valid = false;
+    bool zero = false;
+    uint16_t target = 0; ///< slot size in bytes
+    uint8_t chunks = 0;  ///< 512 B units backing the page
+    std::array<uint32_t, kChunksPerPage> mpfn;
+    std::bitset<kLinesPerPage> zero_line; ///< zero-line shortcut
+    /** Exception slot per line; 0xff = stored in its slot. */
+    std::array<uint8_t, kLinesPerPage> exc_slot;
+    std::bitset<kLinesPerPage> exc_map; ///< occupied exception slots
+    /** Actual compressed size per line (for overflow re-layout). */
+    std::array<uint16_t, kLinesPerPage> actual_bytes{};
+
+    LcpPage()
+    {
+        mpfn.fill(kNoChunk);
+        exc_slot.fill(0xff);
+    }
+};
+
+class LcpController : public CompressedController<LcpPage>
 {
   public:
     explicit LcpController(const LcpConfig &cfg);
@@ -73,115 +88,19 @@ class LcpController : public MemoryController
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override;
-    uint64_t mpaDataBytes() const override;
-    uint64_t mpaMetadataBytes() const override;
-
-    void freePage(PageNum page) override;
-
-    /** Fault wiring: OS-aware degradation — a detected metadata fault
-     *  raises a page fault and the OS rebuilds the entry (bounded,
-     *  escalating to an uncompressed re-layout); data DUEs poison the
-     *  line. */
-    void attachFaultInjector(FaultInjector *fi) override
-    {
-        fault_.attach(fi);
-    }
-
-    /** Observability: events (split access, line/page overflow, page
-     *  fault, fault-recovery rungs) and the compressed-line-size
-     *  histogram (null detaches). */
-    void attachObserver(Observer *obs) override;
-
-    /** Pressure wiring (core/pressure_hooks.h): machine-OOM rescue,
-     *  and watchdogged admission of the overflow re-layout and
-     *  metadata-rebuild paths (denial escalates to the uncompressed
-     *  64 B layout, the OS-aware safe state). */
-    void attachPressureListener(PressureListener *pl) override
-    {
-        pressure_ = pl;
-    }
-
-    /** Machine bytes backing @p pn (0 for untouched/zero pages);
-     *  governor reclaim-ranking input. */
-    uint64_t pageCompressedBytes(PageNum pn) const override
-    {
-        auto it = pages_.find(pn);
-        if (it == pages_.end() || !it->second.valid)
-            return 0;
-        return uint64_t(it->second.chunks) * kChunkBytes;
-    }
-
-    /** The page of the in-flight operation must not be reclaimed. */
-    bool pageBusy(PageNum pn) const override
-    {
-        return cur_trace_ != nullptr && pn == busy_page_;
-    }
-
-    /** Chunk-map invariant audit (src/check): every valid page's
-     *  chunks live and exclusively owned, free list complementary. */
-    AuditReport audit() const override;
-
-    StatGroup &stats() override { return stats_; }
-    const StatGroup &stats() const override { return stats_; }
-
     const SizeBins &targetBins() const { return *bins_; }
-    MetadataCache &metadataCache() { return mdcache_; }
 
   private:
-    /** Per-page LCP metadata (functional form). */
-    struct Page
-    {
-        bool valid = false;
-        bool zero = false;
-        uint16_t target = 0;  ///< slot size in bytes
-        uint8_t chunks = 0;   ///< 512 B units backing the page
-        std::array<uint32_t, kChunksPerPage> chunk_id;
-        std::bitset<kLinesPerPage> zero_line; ///< zero-line shortcut
-        /** Exception slot per line; 0xff = stored in its slot. */
-        std::array<uint8_t, kLinesPerPage> exc_slot;
-        std::bitset<kLinesPerPage> exc_map; ///< occupied exception slots
-        /** Actual compressed bin per line (for overflow re-layout). */
-        std::array<uint8_t, kLinesPerPage> actual_bytes_bin{};
-        std::array<uint16_t, kLinesPerPage> actual_bytes{};
-
-        Page()
-        {
-            chunk_id.fill(kNoChunk);
-            exc_slot.fill(0xff);
-            for (auto &b : actual_bytes)
-                b = 0;
-        }
-    };
-
-    Page &page(PageNum pn) { return pages_[pn]; }
-    Addr metadataAddr(PageNum pn) const;
-    void mdAccess(PageNum pn, bool dirty, McTrace &trace);
-
-    uint32_t allocBytes(const Page &p) const
-    {
-        return uint32_t(p.chunks) * uint32_t(kChunkBytes);
-    }
-    uint32_t excCapacity(const Page &p) const;
-    uint32_t slotOffset(const Page &p, LineIdx idx) const
+    uint32_t excCapacity(const LcpPage &p) const;
+    uint32_t slotOffset(const LcpPage &p, LineIdx idx) const
     {
         return idx * uint32_t(p.target);
     }
-    uint32_t excOffset(const Page &p, unsigned slot) const
+    uint32_t excOffset(const LcpPage &p, unsigned slot) const
     {
         return uint32_t(kLinesPerPage) * p.target +
                slot * uint32_t(kLineBytes);
     }
-
-    Addr mpaOf(const Page &p, uint32_t off) const;
-    void storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                    size_t len);
-    void loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                   size_t len) const;
-    unsigned deviceOps(const Page &p, uint32_t off, size_t len, bool write,
-                       bool critical, McTrace &trace,
-                       AttribComp comp = AttribComp::kDeviceData);
-    bool resizeAlloc(Page &p, unsigned chunks);
 
     struct Encoded
     {
@@ -189,78 +108,44 @@ class LcpController : public MemoryController
         bool zero = false;
     };
     Encoded encodeLine(const Line &data) const;
-    void readStored(const Page &p, LineIdx idx, Line &out) const;
-    void writeStored(PageNum pn, Page &p, LineIdx idx, const Line &raw,
+    void readStored(const LcpPage &p, LineIdx idx, Line &out) const;
+    void writeStored(PageNum pn, LcpPage &p, LineIdx idx, const Line &raw,
                      const Encoded &enc, McTrace &trace);
 
     /** OS-visible page overflow: re-layout with a new target (page
      *  fault + full relocation). */
-    void pageOverflow(PageNum pn, Page &p, LineIdx idx, const Line &raw,
+    void pageOverflow(PageNum pn, LcpPage &p, LineIdx idx, const Line &raw,
                       const Encoded &enc, McTrace &trace);
 
-    void initialAllocate(Page &p, const Encoded &enc);
+    void initialAllocate(LcpPage &p, const Encoded &enc);
 
-    // --- fault handling ---
-    /** Detected metadata fault: OS page fault + entry rebuild from the
-     *  OS's own structures; after max_meta_rebuilds, re-layout the
-     *  page uncompressed (target 64 B). Without recovery, retire the
-     *  page. */
-    void recoverMetadataFault(PageNum pn, McTrace &trace);
-    /** Data DUE on a demand fill: poison the line, charge retry +
-     *  poison-pattern rewrite (which scrubs the blocks). */
-    void poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                         size_t len, McTrace &trace);
-
-    bool streamBufferHit(Addr block) const;
-    void streamBufferInsert(Addr block);
-    void streamBufferInvalidate(Addr block);
+    // --- fault ladder hooks: a metadata fault traps to the OS, which
+    // rebuilds the entry from its page tables (a page fault's stall);
+    // the safe state is the uncompressed 64 B-target layout ---
+    void osFaultStall(McTrace &trace) override;
+    bool pageRaw(const LcpPage &p) const override
+    {
+        return p.target == kLineBytes;
+    }
+    void relayoutRaw(PageNum pn, LcpPage &p, McTrace &trace) override;
 
     LcpConfig cfg_;
     const SizeBins *bins_;
     std::unique_ptr<Compressor> codec_;
-    ChunkAllocator chunks_;
-    MetadataCache mdcache_;
-    std::unordered_map<PageNum, Page> pages_;
-    std::deque<Addr> stream_buf_;
-    McTrace *cur_trace_ = nullptr;
 
-    FaultHooks fault_;
-    std::unordered_map<PageNum, unsigned> meta_rebuilds_;
-
-    PressureListener *pressure_ = nullptr;
-    PageNum busy_page_ = kNoPage; ///< valid while cur_trace_ is set
-
-    StatGroup stats_{"mc"};
     // Cached hot-path counter handles (stable across reset()).
-    uint64_t &st_fills_ = stats_.stat("fills");
-    uint64_t &st_writebacks_ = stats_.stat("writebacks");
-    uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
-    uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_data_read_ops_ = stats_.stat("data_read_ops");
-    uint64_t &st_data_write_ops_ = stats_.stat("data_write_ops");
-    uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
-    uint64_t &st_prefetch_hits_ = stats_.stat("prefetch_hits");
-    uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
-    uint64_t &st_split_extra_ops_ = stats_.stat("split_extra_ops");
     uint64_t &st_co_fetched_lines_ = stats_.stat("co_fetched_lines");
     uint64_t &st_page_overflows_ = stats_.stat("page_overflows");
     uint64_t &st_page_faults_ = stats_.stat("page_faults");
     uint64_t &st_page_fault_cycles_ = stats_.stat("page_fault_cycles");
     uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
-    uint64_t &st_fault_poison_fills_ = stats_.stat("fault_poison_fills");
     uint64_t &st_exception_accesses_ = stats_.stat("exception_accesses");
     uint64_t &st_exception_extra_ops_ = stats_.stat("exception_extra_ops");
-    uint64_t &st_fault_dropped_wbs_ = stats_.stat("fault_dropped_wbs");
     uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
-    uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_ir_placements_ = stats_.stat("ir_placements");
-    uint64_t &st_oom_rescues_ = stats_.stat("oom_rescues");
     uint64_t &st_overflow_escalations_ =
         stats_.stat("overflow_escalations");
-
-    Observer *obs_ = nullptr;
-    Histogram *h_line_bytes_ = nullptr; ///< owned by the Observer
 };
 
 } // namespace compresso

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "check/invariant_auditor.h"
 #include "prof/profiler.h"
 #include "packing/linepack.h"
 
@@ -16,58 +15,21 @@ constexpr Addr kMetadataRegionBase = Addr(1) << 42;
 } // namespace
 
 RmcController::RmcController(const RmcConfig &cfg)
-    : cfg_(cfg),
+    : CompressedController({.installed_bytes = cfg.installed_bytes,
+                            .mdcache = cfg.bst,
+                            .metadata_base = kMetadataRegionBase,
+                            .md_hit_latency = cfg.bst_hit_latency,
+                            .md_hit_comp = AttribComp::kBstWalk,
+                            .md_miss_comp = AttribComp::kBstWalk}),
+      cfg_(cfg),
       bins_(cfg.alignment_friendly ? &compressoBins() : &legacyBins()),
-      codec_(makeCompressor(cfg.compressor)),
-      chunks_(cfg.installed_bytes),
-      bst_(cfg.bst)
+      codec_(makeCompressor(cfg.compressor))
 {
     assert(codec_ && "unknown compressor name");
-    bst_.setEvictHook([this](PageNum pn, bool dirty) {
-        if (dirty && cur_trace_) {
-            cur_trace_->add(metadataAddr(pn), true, false,
-                            AttribComp::kBstWalk);
-            ++stats_["md_write_ops"];
-            fault_.onWrite(metadataAddr(pn));
-        }
-    });
-}
-
-void
-RmcController::attachObserver(Observer *obs)
-{
-    obs_ = obs;
-    bst_.attachObserver(obs);
-    h_line_bytes_ =
-        obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
-                       : nullptr;
-}
-
-Addr
-RmcController::metadataAddr(PageNum pn) const
-{
-    return kMetadataRegionBase + pn * kMetadataEntryBytes;
-}
-
-void
-RmcController::bstAccess(PageNum pn, bool dirty, McTrace &trace)
-{
-    bool hit = bst_.access(pn, false, dirty);
-    trace.metadata_hit = hit;
-    trace.addFixed(AttribComp::kBstWalk, cfg_.bst_hit_latency);
-    if (!hit) {
-        trace.add(metadataAddr(pn), false, true, AttribComp::kBstWalk);
-        ++st_md_read_ops_;
-        if (fault_.active() &&
-            fault_.onMetaRead(metadataAddr(pn)) ==
-                FaultOutcome::kDetected) {
-            recoverMetadataFault(pn, trace);
-        }
-    }
 }
 
 uint32_t
-RmcController::subPack(const Page &p, unsigned sp) const
+RmcController::subPack(const RmcPage &p, unsigned sp) const
 {
     uint32_t sum = 0;
     for (unsigned l = sp * kLinesPerSubpage;
@@ -78,7 +40,7 @@ RmcController::subPack(const Page &p, unsigned sp) const
 }
 
 uint32_t
-RmcController::subBase(const Page &p, unsigned sp) const
+RmcController::subBase(const RmcPage &p, unsigned sp) const
 {
     uint32_t base = 0;
     for (unsigned s = 0; s < sp; ++s)
@@ -87,7 +49,7 @@ RmcController::subBase(const Page &p, unsigned sp) const
 }
 
 uint32_t
-RmcController::lineOffset(const Page &p, LineIdx idx) const
+RmcController::lineOffset(const RmcPage &p, LineIdx idx) const
 {
     unsigned sp = subpageOf(idx);
     uint32_t off = subBase(p, sp);
@@ -96,110 +58,17 @@ RmcController::lineOffset(const Page &p, LineIdx idx) const
     return off;
 }
 
-Addr
-RmcController::mpaOf(const Page &p, uint32_t off) const
+uint32_t
+RmcController::usedBytes(const RmcPage &p)
 {
-    unsigned ci = off / kChunkBytes;
-    assert(ci < p.chunks);
-    Addr scattered =
-        ((Addr(p.chunk_id[ci]) >> 3) * 0x9e3779b1ULL * 8 + (Addr(p.chunk_id[ci]) & 7)) &
-        ((1u << 26) - 1);
-    return scattered * kChunkBytes + off % kChunkBytes;
+    uint32_t used = 0;
+    for (unsigned sp = 0; sp < kSubpages; ++sp)
+        used += p.sub_alloc[sp];
+    return used;
 }
 
 void
-RmcController::storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                          size_t len)
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < p.chunks);
-        std::copy(src, src + n, chunks_.data(p.chunk_id[ci]).begin() + co);
-        src += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-void
-RmcController::loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                         size_t len) const
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < p.chunks);
-        const auto &chunk = chunks_.data(p.chunk_id[ci]);
-        std::copy(chunk.begin() + co, chunk.begin() + co + n, dst);
-        dst += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-unsigned
-RmcController::deviceOps(const Page &p, uint32_t off, size_t len,
-                         bool write, bool critical, McTrace &trace,
-                         AttribComp comp)
-{
-    if (len == 0)
-        return 0;
-    unsigned first = off / kLineBytes;
-    unsigned last = unsigned((off + len - 1) / kLineBytes);
-    for (unsigned b = first; b <= last; ++b) {
-        Addr block = mpaOf(p, b * uint32_t(kLineBytes));
-        // First critical block is the demand word; further critical
-        // blocks are split-access overhead (kDeviceExtra).
-        AttribComp op_comp = critical && b > first
-                                 ? AttribComp::kDeviceExtra
-                                 : comp;
-        trace.add(block, write, critical, op_comp);
-        ++(write ? st_data_write_ops_ : st_data_read_ops_);
-        if (write)
-            fault_.onWrite(block);
-        else if (critical)
-            fault_.onCriticalRead(block);
-    }
-    return last - first + 1;
-}
-
-bool
-RmcController::resizeAlloc(Page &p, unsigned target)
-{
-    assert(target <= kChunksPerPage);
-    while (p.chunks < target) {
-        ChunkNum c = chunks_.allocate();
-        if (c == kNoChunk && pressure_ != nullptr) {
-            // Machine OOM: emergency ballooning (governor), then one
-            // retry; pageBusy() protects the in-flight page.
-            if (pressure_->onMachineOom(busy_page_)) {
-                c = chunks_.allocate();
-                if (c != kNoChunk) {
-                    ++st_oom_rescues_;
-                    CPR_OBS_EVENT(obs_, ObsEvent::kOomRescue, busy_page_,
-                                  1);
-                }
-            }
-        }
-        if (c == kNoChunk) {
-            ++stats_["machine_oom"];
-            return false;
-        }
-        p.chunk_id[p.chunks++] = uint32_t(c);
-    }
-    while (p.chunks > target) {
-        --p.chunks;
-        chunks_.release(p.chunk_id[p.chunks]);
-        p.chunk_id[p.chunks] = kNoChunk;
-    }
-    return true;
-}
-
-void
-RmcController::readStored(const Page &p, LineIdx idx, Line &out) const
+RmcController::readStored(const RmcPage &p, LineIdx idx, Line &out) const
 {
     if (!p.valid || p.zero || p.code[idx] == 0) {
         out.fill(0);
@@ -220,7 +89,7 @@ RmcController::readStored(const Page &p, LineIdx idx, Line &out) const
 }
 
 void
-RmcController::relayout(PageNum pn, Page &p,
+RmcController::relayout(PageNum pn, RmcPage &p,
                         const std::array<uint8_t, kLinesPerPage> &codes,
                         LineIdx idx, const Line &raw, bool os_fault,
                         McTrace &trace)
@@ -230,11 +99,10 @@ RmcController::relayout(PageNum pn, Page &p,
     // forces the raw layout — terminal, the page cannot overflow
     // again — instead of another compressed re-layout.
     bool escalate_raw = false;
+    uint32_t old_used = usedBytes(p);
     if (pressure_ != nullptr) {
-        uint32_t cur = 0;
-        for (unsigned sp = 0; sp < kSubpages; ++sp)
-            cur += p.sub_alloc[sp];
-        uint64_t est = 2ull * (cur / kLineBytes + uint64_t(kLinesPerPage));
+        uint64_t est =
+            2ull * (old_used / kLineBytes + uint64_t(kLinesPerPage));
         if (!pressure_->admitOp(PressureOp::kRelocation, est)) {
             escalate_raw = true;
             ++st_overflow_escalations_;
@@ -253,9 +121,6 @@ RmcController::relayout(PageNum pn, Page &p,
         readStored(p, l, buf[l]);
     buf[idx] = raw;
 
-    uint32_t old_used = 0;
-    for (unsigned sp = 0; sp < kSubpages; ++sp)
-        old_used += p.sub_alloc[sp];
     if (p.chunks > 0)
         deviceOps(p, 0, old_used, false, false, trace, relayout_comp);
     st_overflow_move_ops_ += (old_used + kLineBytes - 1) /
@@ -282,19 +147,15 @@ RmcController::relayout(PageNum pn, Page &p,
 
     if (os_fault) {
         ++st_page_overflows_;
-        ++st_page_faults_;
         CPR_OBS_EVENT(obs_, ObsEvent::kPageOverflow, pn, 0);
         CPR_OBS_EVENT(obs_, ObsEvent::kPageFault, pn,
                       uint32_t(cfg_.page_fault_cycles));
-        st_page_fault_cycles_ += cfg_.page_fault_cycles;
-        trace.addStall(AttribComp::kOsFault, cfg_.page_fault_cycles);
+        osFaultStall(trace);
     } else {
         ++st_subpage_shifts_;
     }
 
-    uint32_t new_used = 0;
-    for (unsigned sp = 0; sp < kSubpages; ++sp)
-        new_used += p.sub_alloc[sp];
+    uint32_t new_used = usedBytes(p);
     for (LineIdx l = 0; l < kLinesPerPage; ++l) {
         if (p.code[l] == 0)
             continue;
@@ -318,113 +179,42 @@ RmcController::relayout(PageNum pn, Page &p,
 }
 
 void
-RmcController::recoverMetadataFault(PageNum pn, McTrace &trace)
+RmcController::osFaultStall(McTrace &trace)
 {
-    Page &p = pages_[pn];
-    FaultInjector *fi = fault_.injector();
-
-    if (!fault_.recoveryEnabled()) {
-        if (p.valid && !fault_.pagePoisoned(pn)) {
-            fault_.poisonPage(pn);
-            ++stats_["fault_pages_poisoned"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kPagePoison));
-        }
-        fi->scrub(metadataAddr(pn));
-        return;
-    }
-
-    // OS-aware rebuild: the DUE traps to the OS, which reconstructs
-    // the BST entry from its own page tables and rewrites it (a page
-    // fault's worth of stall, like LCP's recovery path). Under a blown
-    // watchdog budget the re-walk is skipped and the page jumps
-    // straight to the raw re-layout rung (bounded worst case).
-    bool throttled =
-        pressure_ != nullptr &&
-        !pressure_->admitOp(PressureOp::kMetaRebuild, 1);
-    if (throttled) {
-        ++stats_["fault_rebuilds_throttled"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, pn,
-                      uint32_t(PressureOp::kMetaRebuild));
-    } else {
-        ++stats_["fault_meta_rebuilds"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                      uint32_t(FaultRung::kMetaRebuild));
-        fi->noteMetaRebuild();
-    }
     ++st_page_faults_;
     st_page_fault_cycles_ += cfg_.page_fault_cycles;
     trace.addStall(AttribComp::kOsFault, cfg_.page_fault_cycles);
-    size_t before = trace.ops.size();
-    {
-        FaultHooks::SuppressScope guard(fault_);
-        trace.add(metadataAddr(pn), true, false,
-                  AttribComp::kFaultRecovery);
-        ++stats_["md_write_ops"];
-        unsigned rebuilds;
-        if (throttled) {
-            rebuilds = fi->config().max_meta_rebuilds + 1;
-            meta_rebuilds_[pn] = rebuilds;
-        } else {
-            rebuilds = ++meta_rebuilds_[pn];
-        }
-        bool raw_already = true;
-        for (LineIdx l = 0; l < kLinesPerPage; ++l)
-            raw_already &= p.code[l] == uint8_t(bins_->count() - 1);
-        if (rebuilds > fi->config().max_meta_rebuilds && p.valid &&
-            !p.zero && !raw_already) {
-            // Escalate: the OS re-lays the page out raw (relayout's
-            // full-page fallback), so later slot lookups no longer
-            // depend on the per-line codes.
-            ++stats_["fault_pages_inflated"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kInflateSafety));
-            fi->notePageInflatedSafety();
-            std::array<Line, kLinesPerPage> buf;
-            for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                readStored(p, l, buf[l]);
-            uint32_t old_used = 0;
-            for (unsigned sp = 0; sp < kSubpages; ++sp)
-                old_used += p.sub_alloc[sp];
-            deviceOps(p, 0, old_used, false, false, trace,
-                      AttribComp::kFaultRecovery);
-            for (unsigned sp = 0; sp < kSubpages; ++sp)
-                p.sub_alloc[sp] = uint32_t(kPageBytes / kSubpages);
-            for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                p.code[l] = uint8_t(bins_->count() - 1);
-            resizeAlloc(p, unsigned(kChunksPerPage));
-            for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                storeBytes(p, lineOffset(p, l), buf[l].data(),
-                           kLineBytes);
-            deviceOps(p, 0, kPageBytes, true, false, trace,
-                      AttribComp::kFaultRecovery);
-            meta_rebuilds_.erase(pn);
-        }
-    }
-    fi->scrub(metadataAddr(pn));
-    uint64_t ops = trace.ops.size() - before;
-    fi->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
-    if (pressure_ != nullptr)
-        pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
+}
+
+bool
+RmcController::pageRaw(const RmcPage &p) const
+{
+    bool raw = true;
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        raw &= p.code[l] == uint8_t(bins_->count() - 1);
+    return raw;
 }
 
 void
-RmcController::poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                               size_t len, McTrace &trace)
+RmcController::relayoutRaw(PageNum pn, RmcPage &p, McTrace &trace)
 {
-    fault_.poisonLine(ospa_line);
-    ++stats_["fault_lines_poisoned"];
-    CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pageOf(ospa_line),
-                  uint32_t(FaultRung::kLinePoison));
-    size_t before = trace.ops.size();
-    deviceOps(p, off, len, false, false, trace,
-              AttribComp::kFaultRecovery); // retry read
-    deviceOps(p, off, len, true, false, trace,
-              AttribComp::kFaultRecovery); // poison rewrite
-    uint64_t ops = trace.ops.size() - before;
-    fault_.injector()->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
+    // relayout()'s full-page fallback: later slot lookups no longer
+    // depend on the per-line codes.
+    (void)pn;
+    std::array<Line, kLinesPerPage> buf;
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        readStored(p, l, buf[l]);
+    deviceOps(p, 0, usedBytes(p), false, false, trace,
+              AttribComp::kFaultRecovery);
+    for (unsigned sp = 0; sp < kSubpages; ++sp)
+        p.sub_alloc[sp] = uint32_t(kPageBytes / kSubpages);
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        p.code[l] = uint8_t(bins_->count() - 1);
+    resizeAlloc(p, unsigned(kChunksPerPage));
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        storeBytes(p, lineOffset(p, l), buf[l].data(), kLineBytes);
+    deviceOps(p, 0, kPageBytes, true, false, trace,
+              AttribComp::kFaultRecovery);
 }
 
 void
@@ -433,47 +223,31 @@ RmcController::fillLine(Addr addr, Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcFill);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    OpScope op(*this, pn, trace);
     ++st_fills_;
 
-    Page &p = page(pn);
-    bstAccess(pn, false, trace);
+    RmcPage &p = pages_[pn];
+    mdAccess(pn, false, trace);
 
-    if (fault_.active() && (fault_.pagePoisoned(pn) ||
-                            fault_.linePoisoned(lineAddr(addr)))) {
-        data.fill(0);
-        ++st_fault_poison_fills_;
-        cur_trace_ = nullptr;
+    if (servePoisoned(pn, addr, data))
         return;
-    }
 
     if (!p.valid || p.zero || p.code[idx] == 0) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
 
     uint16_t sz = bins_->binSize(p.code[idx]);
     uint32_t off = lineOffset(p, idx);
     trace.addFixed(AttribComp::kBstWalk, 1); // BST-side offset adder
-    unsigned blocks = deviceOps(p, off, sz, false, true, trace);
-    if (blocks > 1) {
-        ++st_split_fill_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, pn, blocks);
-    }
-    if (fault_.takePending() == FaultOutcome::kDetected) {
-        poisonDataFault(lineAddr(addr), p, off, sz, trace);
-        data.fill(0);
-        cur_trace_ = nullptr;
+    noteSplit(st_split_fill_lines_, pn,
+              deviceOps(p, off, sz, false, true, trace));
+    if (dataFaultPoisoned(addr, p, off, sz, data, trace))
         return;
-    }
     readStored(p, idx, data);
     if (sz != kLineBytes)
         trace.addFixed(AttribComp::kDecompress, cfg_.compression_latency);
-    cur_trace_ = nullptr;
 }
 
 void
@@ -482,21 +256,14 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcWriteback);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    OpScope op(*this, pn, trace);
     ++st_writebacks_;
 
-    Page &p = page(pn);
-    bstAccess(pn, true, trace);
+    RmcPage &p = pages_[pn];
+    mdAccess(pn, true, trace);
 
-    if (fault_.active()) {
-        if (fault_.pagePoisoned(pn)) {
-            ++st_fault_dropped_wbs_;
-            cur_trace_ = nullptr;
-            return;
-        }
-        fault_.clearLinePoison(lineAddr(addr));
-    }
+    if (dropPoisonedWriteback(pn, addr))
+        return;
 
     bool zero = isZeroLine(data);
     BitWriter w;
@@ -512,7 +279,6 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     if (p.zero) {
         if (zero) {
             ++st_zero_wbs_;
-            cur_trace_ = nullptr;
             return;
         }
         // First data: lay out the page with this line's code.
@@ -524,7 +290,6 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);
         relayout(pn, p, codes, idx, data, false, trace);
         st_subpage_shifts_ -= 1; // initial layout is not a shift
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -543,18 +308,13 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
             size_t len = sz == kLineBytes
                              ? kLineBytes
                              : std::max<size_t>(w.bytes().size(), 1);
-            unsigned blocks = deviceOps(p, off, len, true, false, trace);
-            if (blocks > 1) {
-                ++st_split_wb_lines_;
-                st_split_extra_ops_ += blocks - 1;
-                CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, pn, blocks);
-            }
+            noteSplit(st_split_wb_lines_, pn,
+                      deviceOps(p, off, len, true, false, trace));
             if (sz == kLineBytes)
                 storeBytes(p, off, data.data(), kLineBytes);
             else
                 storeBytes(p, off, w.bytes().data(), w.bytes().size());
         }
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -607,7 +367,6 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
             2ull * ((sub_end - moved_from + kLineBytes - 1) /
                     kLineBytes);
         ++st_hysteresis_absorbs_;
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -627,51 +386,6 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
                                  PageSizing::kVariable4) >
                     allocBytes(p);
     relayout(pn, p, codes, idx, data, os_fault, trace);
-    cur_trace_ = nullptr;
-}
-
-uint64_t
-RmcController::ospaBytes() const
-{
-    uint64_t n = 0;
-    for (const auto &[pn, p] : pages_)
-        n += p.valid ? kPageBytes : 0;
-    return n;
-}
-
-uint64_t
-RmcController::mpaDataBytes() const
-{
-    return chunks_.usedBytes();
-}
-
-uint64_t
-RmcController::mpaMetadataBytes() const
-{
-    uint64_t valid = 0;
-    for (const auto &[pn, p] : pages_)
-        valid += p.valid ? 1 : 0;
-    return valid * kMetadataEntryBytes;
-}
-
-void
-RmcController::freePage(PageNum pn)
-{
-    auto it = pages_.find(pn);
-    if (it == pages_.end() || !it->second.valid)
-        return;
-    resizeAlloc(it->second, 0);
-    it->second = Page{};
-    bst_.invalidate(pn);
-    fault_.clearPagePoison(pn);
-    meta_rebuilds_.erase(pn);
-    ++stats_["pages_freed"];
-}
-
-AuditReport
-RmcController::audit() const
-{
-    return InvariantAuditor::auditChunkMap(pages_, chunks_);
 }
 
 } // namespace compresso

@@ -22,16 +22,10 @@
 #define COMPRESSO_CORE_RMC_CONTROLLER_H
 
 #include <memory>
-#include <unordered_map>
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_allocator.h"
-#include "core/memory_controller.h"
-#include "core/pressure_hooks.h"
-#include "fault/fault_hooks.h"
-#include "meta/metadata_cache.h"
-#include "obs/observer.h"
+#include "core/compressed_controller.h"
 
 namespace compresso {
 
@@ -50,7 +44,24 @@ struct RmcConfig
     Cycle page_fault_cycles = 9000;
 };
 
-class RmcController : public MemoryController
+/** Per-page RMC state: per-line size codes in four subpages. */
+struct RmcPage
+{
+    static constexpr unsigned kSubpages = 4;
+
+    bool valid = false;
+    bool zero = false;
+    std::array<uint8_t, kLinesPerPage> code{};   ///< bin per line
+    std::array<uint32_t, kSubpages> sub_alloc{}; ///< bytes incl slack
+    uint8_t chunks = 0;
+    std::array<uint32_t, kChunksPerPage> mpfn;
+
+    RmcPage() { mpfn.fill(kNoChunk); }
+};
+
+/** The metadata cache of CompressedController plays the role of RMC's
+ *  on-chip Block Size Table cache (BST). */
+class RmcController : public CompressedController<RmcPage>
 {
   public:
     explicit RmcController(const RmcConfig &cfg);
@@ -61,165 +72,54 @@ class RmcController : public MemoryController
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override;
-    uint64_t mpaDataBytes() const override;
-    uint64_t mpaMetadataBytes() const override;
-
-    void freePage(PageNum page) override;
-
-    /** Fault wiring: OS-aware degradation like LCP — a detected BST
-     *  fault raises a page fault and the OS rebuilds the entry
-     *  (bounded, escalating to a raw re-layout); data DUEs poison the
-     *  line. */
-    void attachFaultInjector(FaultInjector *fi) override
-    {
-        fault_.attach(fi);
-    }
-
-    /** Observability: events (split access, line/page overflow, page
-     *  fault, fault-recovery rungs) and the compressed-line-size
-     *  histogram (null detaches). */
-    void attachObserver(Observer *obs) override;
-
-    /** Pressure wiring (core/pressure_hooks.h): machine-OOM rescue
-     *  via emergency ballooning, re-layout admission (denial forces
-     *  the raw layout — terminal, no further overflows), and
-     *  stall-cost reporting. */
-    void attachPressureListener(PressureListener *pl) override
-    {
-        pressure_ = pl;
-    }
-
-    /** Machine bytes backing @p pn (0 for untouched/zero pages);
-     *  governor reclaim-ranking input. */
-    uint64_t pageCompressedBytes(PageNum pn) const override
-    {
-        auto it = pages_.find(pn);
-        if (it == pages_.end() || !it->second.valid)
-            return 0;
-        return uint64_t(it->second.chunks) * kChunkBytes;
-    }
-
-    /** The page of the in-flight operation must not be reclaimed. */
-    bool pageBusy(PageNum pn) const override
-    {
-        return cur_trace_ != nullptr && pn == busy_page_;
-    }
-
-    /** Chunk-map invariant audit (src/check): every valid page's
-     *  chunks live and exclusively owned, free list complementary. */
-    AuditReport audit() const override;
-
-    StatGroup &stats() override { return stats_; }
-    const StatGroup &stats() const override { return stats_; }
-
-    static constexpr unsigned kSubpages = 4;
+    static constexpr unsigned kSubpages = RmcPage::kSubpages;
     static constexpr unsigned kLinesPerSubpage =
         kLinesPerPage / kSubpages;
 
   private:
-    struct Page
-    {
-        bool valid = false;
-        bool zero = false;
-        std::array<uint8_t, kLinesPerPage> code{};    ///< bin per line
-        std::array<uint32_t, kSubpages> sub_alloc{};  ///< bytes incl slack
-        uint8_t chunks = 0;
-        std::array<uint32_t, kChunksPerPage> chunk_id;
-
-        Page() { chunk_id.fill(kNoChunk); }
-    };
-
-    Page &page(PageNum pn) { return pages_[pn]; }
-    Addr metadataAddr(PageNum pn) const;
-    void bstAccess(PageNum pn, bool dirty, McTrace &trace);
-
     uint32_t subpageOf(LineIdx idx) const
     {
         return idx / kLinesPerSubpage;
     }
     /** Packed bytes of subpage @p sp (sum of its line bins). */
-    uint32_t subPack(const Page &p, unsigned sp) const;
+    uint32_t subPack(const RmcPage &p, unsigned sp) const;
     /** Byte offset of subpage @p sp (sum of preceding sub_alloc). */
-    uint32_t subBase(const Page &p, unsigned sp) const;
+    uint32_t subBase(const RmcPage &p, unsigned sp) const;
     /** Byte offset of line @p idx. */
-    uint32_t lineOffset(const Page &p, LineIdx idx) const;
-    uint32_t allocBytes(const Page &p) const
-    {
-        return uint32_t(p.chunks) * uint32_t(kChunkBytes);
-    }
+    uint32_t lineOffset(const RmcPage &p, LineIdx idx) const;
+    /** Bytes laid out: every subpage including its slack. */
+    static uint32_t usedBytes(const RmcPage &p);
 
-    Addr mpaOf(const Page &p, uint32_t off) const;
-    void storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                    size_t len);
-    void loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                   size_t len) const;
-    unsigned deviceOps(const Page &p, uint32_t off, size_t len,
-                       bool write, bool critical, McTrace &trace,
-                       AttribComp comp = AttribComp::kDeviceData);
-    bool resizeAlloc(Page &p, unsigned chunks);
-
-    void readStored(const Page &p, LineIdx idx, Line &out) const;
+    void readStored(const RmcPage &p, LineIdx idx, Line &out) const;
     /** Re-lay out the whole page for new codes (subpage shift or OS
      *  page overflow), preserving data. */
-    void relayout(PageNum pn, Page &p,
+    void relayout(PageNum pn, RmcPage &p,
                   const std::array<uint8_t, kLinesPerPage> &codes,
                   LineIdx idx, const Line &raw, bool os_fault,
                   McTrace &trace);
 
-    // --- fault handling ---
-    /** Detected BST-entry fault: OS page fault + entry rebuild from
-     *  the OS's structures; after max_meta_rebuilds, re-layout the
-     *  page raw so slot lookups no longer depend on the entry.
-     *  Without recovery, retire the page. */
-    void recoverMetadataFault(PageNum pn, McTrace &trace);
-    /** Data DUE on a demand fill: poison the line, charge retry +
-     *  poison-pattern rewrite (which scrubs the blocks). */
-    void poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                         size_t len, McTrace &trace);
+    // --- fault ladder hooks: a BST fault traps to the OS, which
+    // rebuilds the entry from its own structures (a page fault's
+    // stall); the safe state is the raw layout ---
+    void osFaultStall(McTrace &trace) override;
+    bool pageRaw(const RmcPage &p) const override;
+    void relayoutRaw(PageNum pn, RmcPage &p, McTrace &trace) override;
 
     RmcConfig cfg_;
     const SizeBins *bins_;
     std::unique_ptr<Compressor> codec_;
-    ChunkAllocator chunks_;
-    MetadataCache bst_;
-    std::unordered_map<PageNum, Page> pages_;
-    McTrace *cur_trace_ = nullptr;
 
-    FaultHooks fault_;
-    std::unordered_map<PageNum, unsigned> meta_rebuilds_;
-
-    StatGroup stats_{"mc"};
     // Cached hot-path counter handles (stable across reset()).
-    uint64_t &st_fills_ = stats_.stat("fills");
-    uint64_t &st_writebacks_ = stats_.stat("writebacks");
-    uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
-    uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_data_read_ops_ = stats_.stat("data_read_ops");
-    uint64_t &st_data_write_ops_ = stats_.stat("data_write_ops");
-    uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
-    uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
-    uint64_t &st_split_extra_ops_ = stats_.stat("split_extra_ops");
     uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
     uint64_t &st_page_overflows_ = stats_.stat("page_overflows");
     uint64_t &st_page_faults_ = stats_.stat("page_faults");
     uint64_t &st_page_fault_cycles_ = stats_.stat("page_fault_cycles");
     uint64_t &st_subpage_shifts_ = stats_.stat("subpage_shifts");
-    uint64_t &st_fault_poison_fills_ = stats_.stat("fault_poison_fills");
-    uint64_t &st_fault_dropped_wbs_ = stats_.stat("fault_dropped_wbs");
     uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
-    uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_hysteresis_absorbs_ = stats_.stat("hysteresis_absorbs");
-    uint64_t &st_oom_rescues_ = stats_.stat("oom_rescues");
     uint64_t &st_overflow_escalations_ =
         stats_.stat("overflow_escalations");
-
-    PressureListener *pressure_ = nullptr;
-    PageNum busy_page_ = kNoPage; ///< valid while cur_trace_ is set
-
-    Observer *obs_ = nullptr;
-    Histogram *h_line_bytes_ = nullptr; ///< owned by the Observer
 };
 
 } // namespace compresso

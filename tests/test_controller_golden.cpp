@@ -95,8 +95,8 @@ class Digest
  * Deterministic pressure script: denies every fourth admission and
  * rescues OOMs by freeing up to two pages that hold storage and are
  * not busy. With @p deny_ooms it also refuses every third rescue.
- * Only Compresso gets refusals: the LCP, RMC and DMC models abort when
- * an allocation inside a relayout fails for good (see ROADMAP.md).
+ * Only Compresso gets refusals: the LCP, RMC and DMC models still
+ * abort when an allocation inside a relayout fails for good.
  * Every call is logged into the digest.
  */
 class ScriptedPressure : public PressureListener

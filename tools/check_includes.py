@@ -23,15 +23,24 @@ exits non-zero listing every violation. Rules:
     include (e.g. via common/sync.h) breaks the moment the middleman
     drops it, and on non-Clang builds that surfaces as a baffling
     parse error instead of a clean miss.
+ 7. Every quoted #include in src/, tests/, bench/ and examples/ resolves
+    to a file tracked by git (`git ls-files`), next to the including
+    file or under src/. A header that exists only in the working tree
+    (untracked, or hidden by a .gitignore rule) builds locally and
+    breaks every clean checkout.
 """
 
 from __future__ import annotations
 
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path("src")
+
+# Trees whose quoted includes must resolve to tracked files (rule 7).
+TRACKED_INCLUDE_ROOTS = ("src", "tests", "bench", "examples")
 
 # The only files allowed to contain raw new/delete expressions.
 NEW_DELETE_ALLOWLIST = {
@@ -195,6 +204,44 @@ def check_file(path: Path, errors: list[str]) -> None:
                 errors.append(f"{path}:{lineno}: raw `delete` expression")
 
 
+def tracked_files() -> set[str] | None:
+    """Repo-relative paths git tracks, or None outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "ls-files", "-z"],
+            check=True,
+            capture_output=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return {p for p in out.decode("utf-8", "replace").split("\0") if p}
+
+
+def check_tracked_includes(tracked: set[str], errors: list[str]) -> None:
+    """Rule 7: quoted includes resolve to tracked files."""
+    for root in TRACKED_INCLUDE_ROOTS:
+        for path in sorted(Path(root).rglob("*")):
+            if path.suffix not in (".h", ".cpp"):
+                continue
+            if path.as_posix() not in tracked:
+                continue  # untracked files are not part of the build
+            raw = path.read_text(encoding="utf-8", errors="replace")
+            for lineno, ln in enumerate(raw.splitlines(), 1):
+                m = INCLUDE_RE.match(ln)
+                if not m or m.group(1) != '"':
+                    continue
+                inc = m.group(2)
+                candidates = (
+                    (path.parent / inc).as_posix(),
+                    (SRC / inc).as_posix(),
+                )
+                if not any(c in tracked for c in candidates):
+                    errors.append(
+                        f"{path}:{lineno}: include \"{inc}\" does not "
+                        f"resolve to a file tracked by git"
+                    )
+
+
 def main() -> int:
     if not SRC.is_dir():
         print("check_includes.py: run from the repository root", file=sys.stderr)
@@ -203,6 +250,14 @@ def main() -> int:
     for path in sorted(SRC.rglob("*")):
         if path.suffix in (".h", ".cpp"):
             check_file(path, errors)
+    tracked = tracked_files()
+    if tracked is None:
+        print(
+            "check_includes.py: not a git checkout; rule 7 skipped",
+            file=sys.stderr,
+        )
+    else:
+        check_tracked_includes(tracked, errors)
     if errors:
         print("\n".join(errors), file=sys.stderr)
         print(f"check_includes: {len(errors)} violation(s)", file=sys.stderr)
